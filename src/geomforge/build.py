@@ -24,6 +24,7 @@ from .geom import (
     quotient_by_action,
     is_s_covering,
 )
+from .gf2 import _basis_of, _span, _subspace_dim
 from .perm import (
     GroupAction,
     Permutation,
@@ -103,27 +104,6 @@ def petersen_geometry() -> ConstructionMetadata:
 # GF(2) subspace machinery
 
 
-def _span(vectors: Sequence[int]) -> tuple[int, ...]:
-    """All nonzero vectors of the GF(2)-span, as a sorted tuple of masks."""
-    basis: list[int] = []
-    for v in vectors:
-        w = v
-        for b in basis:
-            w = min(w, w ^ b)
-        if w:
-            basis.append(w)
-            basis.sort(reverse=True)
-    out = {0}
-    for b in basis:
-        out |= {x ^ b for x in out}
-    out.discard(0)
-    return tuple(sorted(out))
-
-
-def _subspace_dim(subspace: Sequence[int]) -> int:
-    return (len(subspace) + 1).bit_length() - 1
-
-
 def _all_subspaces(ambient: Sequence[int], max_dim: int) -> list[tuple[int, ...]]:
     """All nonzero subspaces of the span of ``ambient`` up to max_dim."""
     ambient_set = set(ambient)
@@ -138,18 +118,6 @@ def _all_subspaces(ambient: Sequence[int], max_dim: int) -> list[tuple[int, ...]
         current = nxt
         out.extend(sorted(current))
     return out
-
-
-def _basis_of(subspace: Sequence[int]) -> list[int]:
-    basis: list[int] = []
-    for v in subspace:
-        w = v
-        for b in basis:
-            w = min(w, w ^ b)
-        if w:
-            basis.append(w)
-            basis.sort(reverse=True)
-    return basis
 
 
 def _containment_incidences(

@@ -766,10 +766,7 @@ def isomorphic(g1: Geometry, g2: Geometry) -> Optional[dict]:
 
 def _trivial_bijection(g1: Geometry, g2: Geometry) -> Optional[dict]:
     for convert in (lambda e: e, _id_to_str):
-        try:
-            mapping = {e: convert(e) for e in g1.elements}
-        except Exception:
-            continue
+        mapping = {e: convert(e) for e in g1.elements}
         if set(mapping.values()) != set(g2.elements):
             continue
         if any(g1.type_of[e] != g2.type_of[mapping[e]] for e in g1.elements):

@@ -1,9 +1,22 @@
-"""Dense linear algebra over GF(2) and GF(3).
+"""Dense linear algebra over GF(2) and GF(3), and GF(2) subspaces as bit masks.
 
-GF(2) matrices are bit-packed into 64-bit words and eliminated word-parallel
-with column pivoting in natural order, so the echelon form is deterministic.
-GF(3) support is byte-packed and unoptimized; it only has to carry homology
-ranks at desk scale.
+Payload layout.  A GF(2) matrix is bit-packed: an ndarray of uint64 of shape
+(rows, ceil(cols/64)), bit j of word w holding column 64*w + j, padding bits
+zero.  A GF(3) matrix is an ndarray of uint8 with one byte per entry.
+
+Every operation except elimination goes through one bridge between the
+payload and a dense (rows, cols) uint8 array of entries: ``_from_dense``
+packs with ``np.packbits(..., bitorder="little")`` for GF(2) and keeps the
+bytes for GF(3); ``_dense`` undoes it.  Construction, transposition, products,
+nullspaces, solving and the text format are then written once for both
+primes on dense arrays.  Only the bridge, ``get`` and ``rref`` are per prime:
+the two elimination kernels work on the payload itself, GF(2) word-parallel,
+with column pivoting in natural order so that echelon forms are
+deterministic.
+
+The module also holds the GF(2)-span helpers on integer bit masks (``_span``,
+``_basis_of``, ``_subspace_dim``) that the constructions and the natural
+representation checks share.
 """
 
 from __future__ import annotations
@@ -15,7 +28,6 @@ import numpy as np
 __all__ = [
     "MatrixGFp",
     "ShapeError",
-    "rank_nullspace",
     "solve",
     "image_kernel",
     "load_matrix",
@@ -32,12 +44,8 @@ _ONE = np.uint64(1)
 
 
 class MatrixGFp:
-    """Immutable dense matrix over GF(2) or GF(3).
-
-    GF(2) payload: ndarray of uint64, shape (rows, ceil(cols/64)), bit j of
-    word w holding column 64*w + j.  GF(3) payload: ndarray of uint8 with one
-    byte per entry.
-    """
+    """Immutable dense matrix over GF(2) or GF(3); see the module docstring
+    for the payload layout."""
 
     def __init__(self, prime: int, rows: int, cols: int, payload: np.ndarray):
         if prime not in (2, 3):
@@ -48,59 +56,59 @@ class MatrixGFp:
         self._payload = payload
         self._payload.flags.writeable = False
 
+    # -- the payload bridge ---------------------------------------------------
+
+    @classmethod
+    def _from_dense(cls, prime: int, array: np.ndarray) -> "MatrixGFp":
+        """Matrix from a (rows, cols) uint8 array of entries reduced mod prime."""
+        rows, cols = array.shape
+        if prime != 2:
+            return cls(prime, rows, cols, array)
+        packed = np.zeros((rows, 8 * ((cols + 63) // 64)), dtype=np.uint8)
+        packed[:, : (cols + 7) // 8] = np.packbits(array, axis=1, bitorder="little")
+        return cls(2, rows, cols, packed.view("<u8").astype(np.uint64, copy=False))
+
+    def _dense(self) -> np.ndarray:
+        """The entries as a (rows, cols) uint8 array (read-only for GF(3))."""
+        if self.prime != 2:
+            return self._payload
+        octets = self._payload.astype("<u8", copy=False).view(np.uint8)
+        return np.unpackbits(octets, axis=1, count=self.cols, bitorder="little")
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zeros(cls, prime: int, rows: int, cols: int) -> "MatrixGFp":
-        if prime == 2:
-            words = (cols + 63) // 64
-            return cls(2, rows, cols, np.zeros((rows, words), dtype=np.uint64))
-        return cls(3, rows, cols, np.zeros((rows, cols), dtype=np.uint8))
+        return cls._from_dense(prime, np.zeros((rows, cols), dtype=np.uint8))
 
     @classmethod
     def identity(cls, prime: int, n: int) -> "MatrixGFp":
-        return cls.from_rows(prime, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._from_dense(prime, np.eye(n, dtype=np.uint8))
 
     @classmethod
     def from_rows(cls, prime: int, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "MatrixGFp":
-        nrows = len(rows)
         if cols is None:
-            cols = len(rows[0]) if nrows else 0
-        if prime == 2:
-            words = (cols + 63) // 64
-            payload = np.zeros((nrows, words), dtype=np.uint64)
-            for i, row in enumerate(rows):
-                if len(row) != cols:
-                    raise ShapeError("ragged row lengths")
-                for j, v in enumerate(row):
-                    if v & 1:
-                        payload[i, j >> 6] |= _ONE << np.uint64(j & 63)
-            return cls(2, nrows, cols, payload)
-        payload = np.zeros((nrows, cols), dtype=np.uint8)
+            cols = len(rows[0]) if len(rows) else 0
+        dense = np.zeros((len(rows), cols), dtype=np.uint8)
         for i, row in enumerate(rows):
             if len(row) != cols:
                 raise ShapeError("ragged row lengths")
-            payload[i] = np.asarray(row, dtype=np.int64) % 3
-        return cls(3, nrows, cols, payload)
+            dense[i] = np.asarray(row, dtype=np.int64) % prime
+        return cls._from_dense(prime, dense)
 
     @classmethod
     def from_entries(cls, prime: int, rows: int, cols: int, entries: Iterable[tuple[int, int, int]]) -> "MatrixGFp":
-        """Build from (row, col, value) coordinate triples."""
-        if prime == 2:
-            words = (cols + 63) // 64
-            payload = np.zeros((rows, words), dtype=np.uint64)
-            for r, c, v in entries:
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise ShapeError(f"entry ({r},{c}) outside {rows}x{cols}")
-                if v % 2:
-                    payload[r, c >> 6] ^= _ONE << np.uint64(c & 63)
-            return cls(2, rows, cols, payload)
-        payload = np.zeros((rows, cols), dtype=np.uint8)
-        for r, c, v in entries:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ShapeError(f"entry ({r},{c}) outside {rows}x{cols}")
-            payload[r, c] = (payload[r, c] + v) % 3
-        return cls(3, rows, cols, payload)
+        """Build from (row, col, value) coordinate triples; repeated
+        coordinates add up."""
+        triples = np.array([(r, c, v) for r, c, v in entries], dtype=np.int64).reshape(-1, 3)
+        r, c, v = triples.T
+        outside = np.flatnonzero((r < 0) | (r >= rows) | (c < 0) | (c >= cols))
+        if outside.size:
+            i = outside[0]
+            raise ShapeError(f"entry ({r[i]},{c[i]}) outside {rows}x{cols}")
+        dense = np.zeros((rows, cols), dtype=np.int64)
+        np.add.at(dense, (r, c), v % prime)
+        return cls._from_dense(prime, (dense % prime).astype(np.uint8))
 
     # -- element access -------------------------------------------------------
 
@@ -110,17 +118,13 @@ class MatrixGFp:
         return int(self._payload[r, c])
 
     def row(self, r: int) -> list[int]:
-        return [self.get(r, c) for c in range(self.cols)]
+        return self._dense()[r].tolist()
 
     def to_rows(self) -> list[list[int]]:
-        return [self.row(r) for r in range(self.rows)]
+        return self._dense().tolist()
 
     def transpose(self) -> "MatrixGFp":
-        return MatrixGFp.from_rows(
-            self.prime,
-            [[self.get(r, c) for r in range(self.rows)] for c in range(self.cols)],
-            cols=self.rows,
-        )
+        return MatrixGFp._from_dense(self.prime, self._dense().T)
 
     def stack(self, other: "MatrixGFp") -> "MatrixGFp":
         if other.cols != self.cols or other.prime != self.prime:
@@ -131,25 +135,15 @@ class MatrixGFp:
     def mul(self, other: "MatrixGFp") -> "MatrixGFp":
         if self.cols != other.rows or self.prime != other.prime:
             raise ShapeError("incompatible shapes for multiplication")
-        if self.prime == 2:
-            out = np.zeros((self.rows, other._payload.shape[1]), dtype=np.uint64)
-            for i in range(self.rows):
-                acc = np.zeros(other._payload.shape[1], dtype=np.uint64)
-                w = self._payload[i]
-                for k in range(self.cols):
-                    if (w[k >> 6] >> np.uint64(k & 63)) & _ONE:
-                        acc ^= other._payload[k]
-                out[i] = acc
-            return MatrixGFp(2, self.rows, other.cols, out)
-        prod = (self._payload.astype(np.int64) @ other._payload.astype(np.int64)) % 3
-        return MatrixGFp(3, self.rows, other.cols, prod.astype(np.uint8))
+        prod = self._dense().astype(np.int64) @ other._dense().astype(np.int64)
+        return MatrixGFp._from_dense(self.prime, (prod % self.prime).astype(np.uint8))
 
     def apply(self, vector: Sequence[int]) -> list[int]:
         """Matrix-vector product M @ v."""
         if len(vector) != self.cols:
             raise ShapeError("vector length does not match column count")
-        col = MatrixGFp.from_rows(self.prime, [[v] for v in vector], cols=1)
-        return [self.mul(col).get(r, 0) for r in range(self.rows)]
+        v = np.asarray(vector, dtype=np.int64) % self.prime
+        return (self._dense().astype(np.int64) @ v % self.prime).tolist()
 
     def __eq__(self, other) -> bool:
         return (
@@ -167,13 +161,10 @@ class MatrixGFp:
 
     def rref(self) -> tuple["MatrixGFp", list[int]]:
         """Reduced row echelon form and its pivot columns (deterministic)."""
-        if self.prime == 2:
-            work = self._payload.copy()
-            pivots = _rref2_inplace(work, self.rows, self.cols)
-            return MatrixGFp(2, self.rows, self.cols, work), pivots
         work = self._payload.copy()
-        pivots = _rref3_inplace(work, self.rows, self.cols)
-        return MatrixGFp(3, self.rows, self.cols, work), pivots
+        kernel = _rref2_inplace if self.prime == 2 else _rref3_inplace
+        pivots = kernel(work, self.rows, self.cols)
+        return MatrixGFp(self.prime, self.rows, self.cols, work), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -182,33 +173,17 @@ class MatrixGFp:
         """Canonical basis of the right nullspace, one vector per row, in
         reduced echelon form."""
         red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis_rows = []
-        for f in free:
-            vec = [0] * self.cols
-            vec[f] = 1
-            for r, p in enumerate(pivots):
-                coef = red.get(r, f)
-                if coef:
-                    # p-coordinate solves row: x_p = -coef * x_f
-                    vec[p] = (-coef) % self.prime
-            basis_rows.append(vec)
-        if not basis_rows:
-            return MatrixGFp.zeros(self.prime, 0, self.cols)
-        basis = MatrixGFp.from_rows(self.prime, basis_rows, cols=self.cols)
-        red_basis, piv = basis.rref()
-        keep = MatrixGFp.from_rows(
-            self.prime, [red_basis.row(i) for i in range(len(piv))], cols=self.cols
-        )
-        return keep
+        free = np.setdiff1d(np.arange(self.cols), pivots)
+        basis = np.zeros((free.size, self.cols), dtype=np.uint8)
+        basis[np.arange(free.size), free] = 1
+        # row f solves the pivot rows with x_f = 1: x_p = -red[r, f]
+        basis[:, pivots] = (self.prime - red._dense()[: len(pivots), free].T) % self.prime
+        return MatrixGFp._from_dense(self.prime, basis).row_space()
 
     def row_space(self) -> "MatrixGFp":
         """Canonical echelon basis of the row space."""
         red, pivots = self.rref()
-        return MatrixGFp.from_rows(
-            self.prime, [red.row(i) for i in range(len(pivots))], cols=self.cols
-        )
+        return MatrixGFp(self.prime, len(pivots), self.cols, red._payload[: len(pivots)])
 
 
 def _rref2_inplace(work: np.ndarray, rows: int, cols: int) -> list[int]:
@@ -264,29 +239,19 @@ def _rref3_inplace(work: np.ndarray, rows: int, cols: int) -> list[int]:
 # spec-level operations
 
 
-def rank_nullspace(matrix: MatrixGFp) -> tuple[int, MatrixGFp]:
-    """Rank plus canonical nullspace basis; rank + basis rows = cols."""
-    basis = matrix.nullspace()
-    return matrix.cols - basis.rows, basis
-
-
 def solve(matrix: MatrixGFp, b: Sequence[int]) -> Optional[list[int]]:
     """Solve M x = b; canonical solution has all free variables zero.
     Returns None when b is outside the column space."""
     if len(b) != matrix.rows:
         raise ShapeError("right-hand side length does not match row count")
-    rows = matrix.to_rows()
-    augmented = MatrixGFp.from_rows(
-        matrix.prime, [row + [bv % matrix.prime] for row, bv in zip(rows, b)],
-        cols=matrix.cols + 1,
-    )
+    rhs = (np.asarray(b, dtype=np.int64) % matrix.prime).astype(np.uint8)
+    augmented = MatrixGFp._from_dense(matrix.prime, np.hstack([matrix._dense(), rhs[:, None]]))
     red, pivots = augmented.rref()
     if matrix.cols in pivots:
         return None
-    x = [0] * matrix.cols
-    for r, p in enumerate(pivots):
-        x[p] = red.get(r, matrix.cols)
-    return x
+    x = np.zeros(matrix.cols, dtype=np.uint8)
+    x[pivots] = red._dense()[: len(pivots), matrix.cols]
+    return x.tolist()
 
 
 def image_kernel(matrix: MatrixGFp) -> tuple[MatrixGFp, MatrixGFp]:
@@ -326,10 +291,38 @@ def parse_matrix(text: str) -> MatrixGFp:
 
 
 def dump_matrix(matrix: MatrixGFp) -> str:
+    dense = matrix._dense()
+    r, c = np.nonzero(dense)
     out = [f"{matrix.rows} {matrix.cols} {matrix.prime}"]
-    for r in range(matrix.rows):
-        for c in range(matrix.cols):
-            v = matrix.get(r, c)
-            if v:
-                out.append(f"{r} {c} {v}")
+    out.extend(f"{i} {j} {v}" for i, j, v in zip(r.tolist(), c.tolist(), dense[r, c].tolist()))
     return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# GF(2) subspaces as sorted tuples of nonzero integer bit masks
+
+
+def _basis_of(vectors: Iterable[int]) -> list[int]:
+    """A reduced basis of the span of the masks, largest first."""
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return basis
+
+
+def _span(vectors: Iterable[int]) -> tuple[int, ...]:
+    """All nonzero vectors of the GF(2)-span, as a sorted tuple of masks."""
+    out = {0}
+    for b in _basis_of(vectors):
+        out |= {x ^ b for x in out}
+    out.discard(0)
+    return tuple(sorted(out))
+
+
+def _subspace_dim(subspace: Sequence[int]) -> int:
+    """Dimension of a subspace given by its 2^d - 1 nonzero vectors."""
+    return (len(subspace) + 1).bit_length() - 1

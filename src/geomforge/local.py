@@ -11,8 +11,7 @@ from typing import Optional
 
 from .build import ConstructionMetadata, projective_geometry_2
 from .geom import Geometry, GeometryError, derived_graph, is_geometry, isomorphic
-from .graphs import Graph
-from .graphs import girth as _graph_girth
+from .graphs import Graph, girth
 from .perm import (
     GroupAction,
     PermutationGroup,
@@ -27,7 +26,6 @@ __all__ = [
     "KernelSeriesReport",
     "kernel_series",
     "condition_star",
-    "girth",
     "Hypothesis61Report",
     "hypothesis_61_check",
 ]
@@ -143,11 +141,6 @@ def condition_star(meta: ConstructionMetadata) -> bool:
     vertex = delta.vertices[0]
     report = kernel_series(meta, vertex, g.rank - 1)
     return report.orders[-1] <= 2
-
-
-def girth(graph: Graph):
-    """Length of the shortest cycle, or float('inf') for forests."""
-    return _graph_girth(graph)
 
 
 @dataclass

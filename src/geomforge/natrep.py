@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .build import ConstructionMetadata
 from .geom import Geometry, GeometryError
-from .gf2 import MatrixGFp
+from .gf2 import MatrixGFp, _span, _subspace_dim
 from .perm import label_key
 
 __all__ = [
@@ -186,12 +186,12 @@ def verify_natural_representation(g: Geometry, assignment: dict) -> Representati
 
     span_cache: dict = {}
     for x in g.elements:
-        span_cache[x] = _span_masks(
+        span_cache[x] = _span(
             [masks[p] for p in _residue_points(g, x)]
         )
     for x in g.elements:
         i = g.type_of[x]
-        dim = _mask_dim(span_cache[x])
+        dim = _subspace_dim(span_cache[x])
         if dim != i:
             failures.append(
                 f"element {x!r} of type {i} spans dimension {dim}"
@@ -210,8 +210,8 @@ def verify_natural_representation(g: Geometry, assignment: dict) -> Representati
                     f"element {x!r}: type-{j} residue does not map "
                     f"bijectively onto the {j}-subspaces of its span"
                 )
-    overall = _span_masks([masks[p] for p in points])
-    return RepresentationVerdict(not failures, _mask_dim(overall), failures)
+    overall = _span([masks[p] for p in points])
+    return RepresentationVerdict(not failures, _subspace_dim(overall), failures)
 
 
 def _residue_points(g: Geometry, x):
@@ -230,27 +230,6 @@ def _bits_to_mask(bits) -> int:
     return mask
 
 
-def _span_masks(masks: Sequence[int]) -> tuple[int, ...]:
-    """Nonzero vectors of the span, sorted."""
-    basis: list[int] = []
-    for v in masks:
-        w = v
-        for b in basis:
-            w = min(w, w ^ b)
-        if w:
-            basis.append(w)
-            basis.sort(reverse=True)
-    out = {0}
-    for b in basis:
-        out |= {x ^ b for x in out}
-    out.discard(0)
-    return tuple(sorted(out))
-
-
-def _mask_dim(span: Sequence[int]) -> int:
-    return (len(span) + 1).bit_length() - 1
-
-
 def _subspaces_of(span: Sequence[int], dim: int) -> set:
     """All dim-subspaces of a spanned space, as frozensets of sorted tuples."""
     from itertools import combinations
@@ -258,7 +237,7 @@ def _subspaces_of(span: Sequence[int], dim: int) -> set:
     out = set()
     vectors = list(span)
     for basis in combinations(vectors, dim):
-        sub = _span_masks(basis)
-        if _mask_dim(sub) == dim:
+        sub = _span(basis)
+        if _subspace_dim(sub) == dim:
             out.add(frozenset(sub))
     return out

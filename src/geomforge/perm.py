@@ -21,10 +21,6 @@ __all__ = [
     "DomainError",
     "ClosureError",
     "CapacityError",
-    "orbit",
-    "group_order",
-    "stabilizer",
-    "minimal_normal_subgroups",
     "subgroup_search",
     "induced_action",
     "label_key",
@@ -721,34 +717,6 @@ class GroupAction:
             imgs.append(row)
         return GroupAction(self.group, labels, imgs)
 
-    def spot_check_homomorphism(self, rng: Random, samples: int = 20) -> bool:
-        """Compare the action of random generator words against composed
-        domain images; a cheap sanity check that the action is consistent."""
-        k = len(self.group.generators)
-        if k == 0:
-            return True
-        n = len(self.domain)
-        for _ in range(samples):
-            word = [rng.randrange(k) for _ in range(rng.randrange(1, 6))]
-            g = Permutation.identity(self.group.degree)
-            composed = list(range(n))
-            for idx in word:
-                g = g * self.group.generators[idx]
-                img = self.images[idx]
-                composed = [img[x] for x in composed]
-            direct = _apply_word_images(self.images, word, n)
-            if composed != direct:
-                return False
-        return True
-
-
-def _apply_word_images(images, word, n):
-    out = list(range(n))
-    for idx in word:
-        img = images[idx]
-        out = [img[x] for x in out]
-    return out
-
 
 def induced_action(group: PermutationGroup, domain: Iterable, apply: Callable) -> GroupAction:
     """Lift the point action to a derived domain.
@@ -793,26 +761,6 @@ def closure_domain(group: PermutationGroup, seeds: Iterable, apply: Callable) ->
 def natural_action(group: PermutationGroup) -> GroupAction:
     """The defining action on 0..degree-1."""
     return induced_action(group, range(group.degree), lambda g, x: g.images[x])
-
-
-# ---------------------------------------------------------------------------
-# spec-level operation wrappers
-
-
-def orbit(action: GroupAction, seed) -> list:
-    return action.orbit(seed)
-
-
-def group_order(group: PermutationGroup) -> int:
-    return group.order()
-
-
-def stabilizer(group: PermutationGroup, points: Sequence[int], mode: str = "pointwise") -> PermutationGroup:
-    return group.stabilizer(points, mode=mode)
-
-
-def minimal_normal_subgroups(group: PermutationGroup, bound: int = NORMAL_ORDER_BOUND) -> list[PermutationGroup]:
-    return group.minimal_normal_subgroups(bound=bound)
 
 
 @dataclass

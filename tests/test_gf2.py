@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomforge.gf2 import (
     MatrixGFp,
@@ -11,7 +13,6 @@ from geomforge.gf2 import (
     dump_matrix,
     image_kernel,
     parse_matrix,
-    rank_nullspace,
     solve,
 )
 from oracles import naive_rank
@@ -29,18 +30,20 @@ def petersen_incidence_rows():
 
 class TestRankNullspace:
     def test_identity(self):
-        rank, basis = rank_nullspace(MatrixGFp.identity(2, 3))
+        m = MatrixGFp.identity(2, 3)
+        rank, basis = m.rank(), m.nullspace()
         assert rank == 3 and basis.rows == 0
 
     def test_petersen_incidence(self):
         m = MatrixGFp.from_rows(2, petersen_incidence_rows())
-        rank, basis = rank_nullspace(m)
+        rank, basis = m.rank(), m.nullspace()
         assert (rank, basis.rows) == (9, 6)
         for i in range(basis.rows):
             assert all(v == 0 for v in m.apply(basis.row(i)))
 
     def test_zero_matrix(self):
-        rank, basis = rank_nullspace(MatrixGFp.zeros(2, 4, 7))
+        m = MatrixGFp.zeros(2, 4, 7)
+        rank, basis = m.rank(), m.nullspace()
         assert rank == 0 and basis.rows == 7
 
     def test_rank_plus_nullity(self):
@@ -49,7 +52,7 @@ class TestRankNullspace:
             p = int(rng.choice([2, 3]))
             rows, cols = (int(x) for x in rng.integers(1, 40, size=2))
             m = MatrixGFp.from_rows(p, rng.integers(0, p, size=(rows, cols)).tolist())
-            rank, basis = rank_nullspace(m)
+            rank, basis = m.rank(), m.nullspace()
             assert rank + basis.rows == cols
 
     def test_nullspace_basis_is_canonical_echelon(self):
@@ -175,6 +178,92 @@ class TestExchangeFormat:
     def test_entry_bounds(self):
         with pytest.raises(ShapeError):
             parse_matrix("2 2 2\n5 0 1\n")
+
+
+class TestInputReduction:
+    def test_from_entries_rejects_prime_5(self):
+        with pytest.raises(ValueError):
+            MatrixGFp.from_entries(5, 2, 2, [(0, 0, 1)])
+
+    def test_parse_matrix_rejects_prime_5(self):
+        with pytest.raises(ValueError):
+            parse_matrix("2 2 5\n0 0 1\n")
+
+    def test_negative_gf3_entries_reduce(self):
+        m = MatrixGFp.from_entries(3, 1, 2, [(0, 0, -1), (0, 1, -4)])
+        assert m.to_rows() == [[2, 2]]
+
+
+@st.composite
+def matrices(draw, max_rows=24):
+    """(prime, rows) with widths 1..130, crossing the 64-bit word boundaries."""
+    p = draw(st.sampled_from([2, 3]))
+    cols = draw(st.integers(1, 130))
+    nrows = draw(st.integers(0, max_rows))
+    row = st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols)
+    return p, cols, draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+
+def is_rref(rows):
+    leads = []
+    for row in rows:
+        nz = [c for c, v in enumerate(row) if v]
+        if not nz or row[nz[0]] != 1:
+            return False
+        leads.append(nz[0])
+    return leads == sorted(set(leads)) and all(
+        rows[j][lead] == 0 for i, lead in enumerate(leads) for j in range(len(rows)) if j != i
+    )
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(matrices())
+    def test_rank_matches_oracle(self, case):
+        p, cols, rows = case
+        assert MatrixGFp.from_rows(p, rows, cols=cols).rank() == naive_rank(rows, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(1, 130), st.data())
+    def test_from_rows_to_rows_reduces(self, p, cols, data):
+        rows = data.draw(st.lists(st.lists(st.integers(-300, 300), min_size=cols, max_size=cols), max_size=8))
+        got = MatrixGFp.from_rows(p, rows, cols=cols).to_rows()
+        assert got == [[v % p for v in row] for row in rows]
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices())
+    def test_double_transpose(self, case):
+        p, cols, rows = case
+        m = MatrixGFp.from_rows(p, rows, cols=cols)
+        assert m.transpose().transpose() == m
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices())
+    def test_dump_parse_roundtrip(self, case):
+        p, cols, rows = case
+        m = MatrixGFp.from_rows(p, rows, cols=cols)
+        assert parse_matrix(dump_matrix(m)) == m
+
+    @settings(max_examples=40, deadline=None)
+    @given(matrices(max_rows=10), st.integers(0, 70), st.data())
+    def test_mul_matches_naive_product(self, case, width, data):
+        p, cols, rows = case
+        row = st.lists(st.integers(0, p - 1), min_size=width, max_size=width)
+        other = data.draw(st.lists(row, min_size=cols, max_size=cols))
+        got = MatrixGFp.from_rows(p, rows, cols=cols).mul(MatrixGFp.from_rows(p, other, cols=width))
+        want = [[sum(a * other[k][j] for k, a in enumerate(r)) % p for j in range(width)] for r in rows]
+        assert got.to_rows() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices())
+    def test_nullspace_is_canonical_kernel(self, case):
+        p, cols, rows = case
+        m = MatrixGFp.from_rows(p, rows, cols=cols)
+        basis = m.nullspace()
+        kernel = basis.to_rows()
+        assert basis.rows == cols - naive_rank(rows, p)
+        assert is_rref(kernel)
+        assert all(not any(m.apply(x)) for x in kernel)
 
 
 class TestPerformance:

@@ -5,6 +5,7 @@ import pytest
 
 from geomforge import build, local, m22
 from geomforge.geom import derived_graph, diagram, is_flag_transitive, is_geometry
+from geomforge.graphs import girth
 from geomforge.natrep import um_dimension, verify_natural_representation
 pytestmark = pytest.mark.stretch
 
@@ -93,7 +94,7 @@ class TestP1Geometry:
     def test_derived_graph_girth_5(self, p1):
         graph = derived_graph(p1.geometry)
         assert graph.n == 330 and graph.is_regular() == 7
-        assert local.girth(graph) == 5
+        assert girth(graph) == 5
 
     def test_hypothesis_61_passes(self, p1):
         graph = derived_graph(p1.geometry)
