@@ -101,7 +101,7 @@ class Presentation:
                 payload.get("relators", ()),
                 payload.get("subgroup", ()),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, AttributeError) as exc:
             raise PresentationError(f"malformed presentation payload: {exc}") from exc
 
     def word_to_string(self, word: Word) -> str:
@@ -382,8 +382,14 @@ class TriangleComplex:
 
     @classmethod
     def from_json(cls, payload: dict) -> "TriangleComplex":
-        graph = Graph(payload["vertices"], [tuple(e) for e in payload["edges"]])
-        return cls(graph, tuple(tuple(t) for t in payload.get("triangles", ())))
+        try:
+            for v in payload["vertices"]:
+                if type(v) not in (str, int):
+                    raise ValueError(f"vertex {v!r} is not a string or an integer")
+            graph = Graph(payload["vertices"], [tuple(e) for e in payload["edges"]])
+            return cls(graph, tuple(tuple(t) for t in payload.get("triangles", ())))
+        except TypeError as exc:
+            raise ValueError(f"malformed complex payload: {exc}") from exc
 
     def to_json(self) -> dict:
         return {

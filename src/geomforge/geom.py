@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
 from typing import Iterable, Optional, Sequence
 
 from .graphs import Graph, graph_isomorphism
@@ -87,18 +88,21 @@ class Geometry:
         incidences: Iterable[tuple],
         type_map: Optional[dict] = None,
     ):
-        if rank < 0:
-            raise StructureError("rank must be nonnegative")
+        if type(rank) is not int or rank < 0:
+            raise StructureError(f"rank must be a nonnegative integer, got {rank!r}")
         self.rank = rank
         type_of: dict = {}
         for eid, etype in elements:
-            if not 1 <= etype <= rank:
-                raise StructureError(f"element {eid!r} has type {etype} outside 1..{rank}")
+            if type(etype) is not int or not 1 <= etype <= rank:
+                raise StructureError(
+                    f"element {eid!r} has type {etype!r}, not an integer in 1..{rank}"
+                )
             if eid in type_of:
                 raise StructureError(f"duplicate element id {eid!r}")
             type_of[eid] = etype
         self.type_of = type_of
         self.elements = tuple(sorted(type_of, key=lambda e: (type_of[e], label_key(e))))
+        self._of_type = {t: tuple(es) for t, es in groupby(self.elements, key=type_of.get)}
         adj: dict = {e: set() for e in self.elements}
         for a, b in incidences:
             if a not in type_of or b not in type_of:
@@ -120,7 +124,7 @@ class Geometry:
     # -- basic queries -------------------------------------------------------
 
     def elements_of_type(self, etype: int) -> tuple:
-        return tuple(e for e in self.elements if self.type_of[e] == etype)
+        return self._of_type.get(etype, ())
 
     def incident(self, a, b) -> bool:
         return b in self._adj[a]
@@ -154,15 +158,16 @@ class Geometry:
             self.incident(a, b) for i, a in enumerate(flag) for b in flag[i + 1 :]
         )
 
-    def walk_flags(self, visit, max_size: Optional[int] = None) -> None:
+    def walk_flags(self, visit, max_size: Optional[int] = None) -> bool:
         """Depth-first walk over all flags, each visited exactly once.
 
         ``visit(flag_tuple, candidates)`` receives the flag (in canonical
         order) and the full set of elements incident to all of it; a flag is
         non-extensible exactly when candidates is empty.  Returning the
         string "prune" skips extensions of this flag; any other truthy value
-        aborts the walk.  Same-type elements are never incident, so pencil
-        intersection handles type disjointness automatically.
+        aborts the walk, and the walk then returns True.  Same-type elements
+        are never incident, so pencil intersection handles type disjointness
+        automatically.
         """
         limit = self.rank if max_size is None else max_size
         order = self._order
@@ -184,7 +189,7 @@ class Geometry:
                     return True
             return False
 
-        rec((), all_set)
+        return rec((), all_set)
 
     def maximal_flags(self) -> list[tuple]:
         """All flags meeting every type, as canonically ordered tuples."""
@@ -196,13 +201,6 @@ class Geometry:
             return None
 
         self.walk_flags(visit)
-        return out
-
-    def all_flags(self, max_size: Optional[int] = None) -> list[tuple]:
-        """Every nonempty flag, canonically ordered (desk scale)."""
-        out: list[tuple] = []
-        self.walk_flags(lambda flag, cands: out.append(flag) if flag else None,
-                        max_size=max_size)
         return out
 
     # -- serialization --------------------------------------------------------
@@ -226,6 +224,9 @@ class Geometry:
             incidences = [tuple(p) for p in payload["incidences"]]
         except (KeyError, TypeError) as exc:
             raise StructureError(f"malformed geometry payload: {exc}") from exc
+        for eid in [e for e, _ in elements] + [x for pair in incidences for x in pair]:
+            if type(eid) not in (str, int):
+                raise StructureError(f"element id {eid!r} is not a string or an integer")
         return cls(rank, elements, incidences)
 
     def save(self, path) -> None:
@@ -319,17 +320,15 @@ def residue(g: Geometry, flag: Iterable) -> Geometry:
     flag = list(flag)
     if not g.is_flag(flag):
         raise FlagError(f"{[_id_to_str(e) for e in flag]} is not a flag")
-    flag_set = set(flag)
-    members = [
-        e
-        for e in g.elements
-        if e not in flag_set and all(g.incident(e, f) for f in flag)
-    ]
+    order = g._order
+    if flag:
+        members = sorted(frozenset.intersection(*(g._adj[f] for f in flag)), key=order.get)
+    else:
+        members = g.elements
     remaining_types = sorted(set(range(1, g.rank + 1)) - {g.type_of[f] for f in flag})
     type_map = {t: i + 1 for i, t in enumerate(remaining_types)}
     new_rank = g.rank - len(flag)
     member_set = set(members)
-    order = g._order
     incidences = [
         (a, b)
         for a in members
@@ -412,16 +411,15 @@ def element_action(g: Geometry, group: PermutationGroup, apply) -> GroupAction:
 def _check_action(g: Geometry, action: GroupAction) -> None:
     if set(action.domain) != set(g.elements):
         raise ActionError("action domain differs from the element set")
-    for gi in range(len(action.group.generators)):
+    index = action.index
+    types = [g.type_of[e] for e in action.domain]
+    for gi, img in enumerate(action.images):
         for e in g.elements:
-            img = action.apply(gi, e)
-            if g.type_of[img] != g.type_of[e]:
+            if types[img[index[e]]] != g.type_of[e]:
                 raise ActionError(f"generator {gi} does not preserve the type of {e!r}")
-    pair_set = {frozenset(p) for p in g.incidence_pairs()}
-    for gi in range(len(action.group.generators)):
-        for a, b in pair_set:
-            if frozenset((action.apply(gi, a), action.apply(gi, b))) not in pair_set:
-                raise ActionError(f"generator {gi} does not preserve incidence")
+    gi = action.first_generator_moving(g.incidence_pairs())
+    if gi is not None:
+        raise ActionError(f"generator {gi} does not preserve incidence")
 
 
 def is_flag_transitive(g: Geometry, action: GroupAction) -> bool:
@@ -487,52 +485,29 @@ UNKNOWN = "unknown"
 
 
 def diagram(g: Geometry) -> DiagramReport:
-    """Classify all rank-2 residues per type pair and report node orders."""
+    """Classify all rank-2 residues per type pair and report node orders, in
+    one walk over the flags that miss two types or one."""
     verdict = is_geometry(g)
     if not verdict.ok:
         raise GeometryError(f"diagram requires a geometry: {verdict.failures}")
-    edges: dict = {}
-    if g.rank == 1:
-        return DiagramReport(1, {}, {1: len(g.elements_of_type(1)) - 1})
-    all_types = set(range(1, g.rank + 1))
-    for i in range(1, g.rank + 1):
-        for j in range(i + 1, g.rank + 1):
-            cotype = sorted(all_types - {i, j})
-            classifications = set()
-            for flag in _flags_of_type_set(g, cotype):
-                res = residue(g, flag)
-                classifications.add(_classify_rank2(res))
-                if len(classifications) > 1:
-                    break
-            if len(classifications) == 1:
-                edges[(i, j)] = classifications.pop()
-            else:
-                edges[(i, j)] = UNKNOWN
-    orders: dict = {}
-    for i in range(1, g.rank + 1):
-        cotype = sorted(all_types - {i})
-        sizes = {residue(g, flag).size for flag in _flags_of_type_set(g, cotype)}
-        orders[i] = sizes.pop() - 1 if len(sizes) == 1 else None
+    types = range(1, g.rank + 1)
+    classes: dict = {(i, j): set() for i in types for j in types if i < j}
+    sizes: dict = {i: set() for i in types}
+
+    def visit(flag, cands):
+        flag_types = {g.type_of[e] for e in flag}
+        missing = tuple(t for t in types if t not in flag_types)
+        # two classes already make the edge unknown
+        if len(missing) == 2 and len(classes[missing]) < 2:
+            classes[missing].add(_classify_rank2(residue(g, flag)))
+        elif len(missing) == 1:
+            sizes[missing[0]].add(len(cands))
+        return None
+
+    g.walk_flags(visit, max_size=g.rank - 1)
+    edges = {pair: found.pop() if len(found) == 1 else UNKNOWN for pair, found in classes.items()}
+    orders = {i: found.pop() - 1 if len(found) == 1 else None for i, found in sizes.items()}
     return DiagramReport(g.rank, edges, orders)
-
-
-def _flags_of_type_set(g: Geometry, types: Sequence[int]) -> list[tuple]:
-    """All flags whose type set is exactly the given one."""
-    types = list(types)
-    out: list[tuple] = []
-
-    def extend(partial: list, idx: int) -> None:
-        if idx == len(types):
-            out.append(tuple(partial))
-            return
-        for e in g.elements_of_type(types[idx]):
-            if all(g.incident(e, f) for f in partial):
-                partial.append(e)
-                extend(partial, idx + 1)
-                partial.pop()
-
-    extend([], 0)
-    return out
 
 
 def _classify_rank2(res: Geometry) -> str:
@@ -696,19 +671,14 @@ def is_s_covering(f: GeometryMorphism, s: int) -> bool:
     if not f.is_surjective():
         return False
     src = f.source
-    for size in range(src.rank - s, src.rank):
-        for flag in _flags_of_size(src, size):
-            res_src = residue(src, flag)
-            res_tgt = residue(f.target, sorted({f(e) for e in flag}, key=label_key))
-            if not _restriction_is_isomorphism(f, res_src, res_tgt):
-                return False
-    return True
 
+    def visit(flag, cands):
+        if len(flag) < src.rank - s:
+            return None
+        res_tgt = residue(f.target, sorted({f(e) for e in flag}, key=label_key))
+        return not _restriction_is_isomorphism(f, residue(src, flag), res_tgt)
 
-def _flags_of_size(g: Geometry, size: int) -> list[tuple]:
-    if size == 0:
-        return [()]
-    return [fl for fl in g.all_flags(max_size=size) if len(fl) == size]
+    return not src.walk_flags(visit, max_size=src.rank - 1)
 
 
 def _restriction_is_isomorphism(f: GeometryMorphism, res_src: Geometry, res_tgt: Geometry) -> bool:

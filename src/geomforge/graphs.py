@@ -10,7 +10,6 @@ from .perm import label_key
 __all__ = [
     "Graph",
     "graph_isomorphism",
-    "is_isomorphic",
     "petersen_graph",
 ]
 
@@ -260,10 +259,6 @@ def _search_order(graph: Graph, colors: dict) -> list:
         placed.add(best)
         remaining.discard(best)
     return order
-
-
-def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    return graph_isomorphism(g1, g2) is not None
 
 
 def petersen_graph() -> Graph:

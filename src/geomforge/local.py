@@ -238,12 +238,9 @@ def hypothesis_61_check(graph: Graph, action: GroupAction) -> Hypothesis61Report
 def _check_graph_action(graph: Graph, action: GroupAction) -> None:
     if set(action.domain) != set(graph.vertices):
         raise GeometryError("action domain differs from the vertex set")
-    edge_set = {frozenset(e) for e in graph.edges()}
-    for gi in range(len(action.group.generators)):
-        for a, b in edge_set:
-            img = frozenset((action.apply(gi, a), action.apply(gi, b)))
-            if img not in edge_set:
-                raise GeometryError(f"generator {gi} is not a graph automorphism")
+    gi = action.first_generator_moving(graph.edges())
+    if gi is not None:
+        raise GeometryError(f"generator {gi} is not a graph automorphism")
 
 
 def _is_doubly_transitive(group: PermutationGroup, degree: int) -> bool:

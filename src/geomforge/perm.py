@@ -671,6 +671,19 @@ class GroupAction:
     def apply(self, gen_index: int, label):
         return self.domain[self.images[gen_index][self.index[label]]]
 
+    def first_generator_moving(self, pairs: Iterable[tuple]) -> Optional[int]:
+        """Index of the first generator that sends an unordered pair of
+        labels from ``pairs`` to a pair outside them, or None when every
+        generator preserves that set of pairs."""
+        index = self.index
+        keys = {tuple(sorted((index[a], index[b]))) for a, b in pairs}
+        for gi, img in enumerate(self.images):
+            for i, j in keys:
+                a, b = img[i], img[j]
+                if ((a, b) if a < b else (b, a)) not in keys:
+                    return gi
+        return None
+
     def orbit(self, seed) -> list:
         if seed not in self.index:
             raise DomainError(f"seed {seed!r} not in action domain")

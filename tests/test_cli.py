@@ -66,6 +66,48 @@ class TestExitCodes:
         code, report = run_cli(capsys, "verify", "--input", "/nonexistent.json")
         assert code == 4
 
+    @pytest.mark.parametrize("changes", [
+        {"ids": [[1], "b"]},
+        {"rank": "2"},
+        {"rank": True, "types": [1, 1], "incidences": []},
+        {"types": ["1", 2]},
+        {"types": [1.5, 2]},
+        {"types": [True, 2]},
+        {"incidences": [[["a"], "b"]]},
+    ], ids=["list-id", "str-rank", "bool-rank", "str-type", "float-type", "bool-type",
+            "list-incidence"])
+    def test_malformed_geometry(self, capsys, tmp_path, changes):
+        ids, types = changes.get("ids", ["a", "b"]), changes.get("types", [1, 2])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "rank": changes.get("rank", 2),
+            "elements": [{"id": i, "type": t} for i, t in zip(ids, types)],
+            "incidences": changes.get("incidences", [ids]),
+        }))
+        code, report = run_cli(capsys, "verify", "--input", str(path))
+        assert code == 4 and report["status"] == "bad-input"
+
+    @pytest.mark.parametrize("vertices, edges", [
+        ([[1], [2]], []),
+        ([1, 2], [[[1], 2]]),
+        ([1, 2], [5]),
+    ], ids=["list-vertex", "list-endpoint", "int-edge"])
+    def test_malformed_complex(self, capsys, tmp_path, vertices, edges):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"vertices": vertices, "edges": edges, "triangles": []}))
+        code, report = run_cli(capsys, "pi1", "--input", str(path))
+        assert code == 4 and report["status"] == "bad-input"
+
+    @pytest.mark.parametrize("generators, relators", [
+        (["a"], [[1]]),
+        ([["a"]], []),
+    ], ids=["list-relator", "list-generator"])
+    def test_malformed_presentation(self, capsys, tmp_path, generators, relators):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"generators": generators, "relators": relators}))
+        code, report = run_cli(capsys, "tc", "--input", str(path))
+        assert code == 4 and report["status"] == "bad-input"
+
 
 class TestCommands:
     def test_tilde_build_writes_file(self, capsys, tmp_path):

@@ -25,8 +25,7 @@ from geomforge.geom import (
     residue,
     truncation,
 )
-from geomforge.graphs import is_isomorphic as graphs_isomorphic
-from geomforge.graphs import petersen_graph
+from geomforge.graphs import graph_isomorphism, petersen_graph
 from geomforge.perm import Permutation, PermutationGroup, induced_action
 
 
@@ -39,6 +38,29 @@ def hexagon():
         incidences.append((("e", i), ("p", i)))
         incidences.append((("e", i), ("p", (i + 1) % 6)))
     return Geometry(2, [(p, 1) for p in points] + [(e, 2) for e in edges], incidences)
+
+
+def path_geometry():
+    """Points a, b, c on the lines ab and bc."""
+    return Geometry(
+        2,
+        [("a", 1), ("b", 1), ("c", 1), ("ab", 2), ("bc", 2)],
+        [("a", "ab"), ("b", "ab"), ("b", "bc"), ("c", "bc")],
+    )
+
+
+def hexagon_action(broken: dict):
+    """S3 acting on the hexagon: generator 0 turns it half way round,
+    generator 1 swaps the elements paired in ``broken``."""
+    s3 = PermutationGroup([Permutation([1, 0, 2]), Permutation([0, 2, 1])])
+
+    def apply(g, eid):
+        kind, i = eid
+        if g.images == (1, 0, 2):
+            return (kind, (i + 3) % 6)
+        return broken.get(eid, eid) if g.images == (0, 2, 1) else eid
+
+    return s3, apply
 
 
 class TestStructure:
@@ -137,6 +159,24 @@ class TestDiagram:
         assert report.edge(1, 2) == "tilde-edge"
         assert report.orders == {1: 2, 2: 2}
 
+    def test_unknown_edge_and_varying_order(self):
+        report = diagram(path_geometry())
+        assert report.edges == {(1, 2): "unknown"}
+        assert report.orders == {1: 1, 2: None}
+
+    def test_residues_of_one_cotype_disagree(self):
+        # X carries a digon, Y a Fano plane: the 1,2 residues differ
+        lines = [tuple(sorted((i, (i + 1) % 7, (i + 3) % 7))) for i in range(7)]
+        elements = [(p, 1) for p in range(7)] + [(l, 2) for l in lines] + [("X", 3), ("Y", 3)]
+        incidences = [(p, l) for l in lines for p in l] + [("X", 0), ("X", lines[0])]
+        incidences += [("Y", e) for e, t in elements if t < 3]
+        g = Geometry(3, elements, incidences)
+        assert diagram(residue(g, ["X"])).edge(1, 2) == "digon"
+        assert diagram(residue(g, ["Y"])).edge(1, 2) == "projective-plane-2"
+        report = diagram(g)
+        assert report.edge(1, 2) == "unknown"
+        assert report.orders[3] is None
+
     def test_isomorphic_geometries_share_diagram(self, gq22):
         base = gq22.geometry
         relabeled = Geometry(
@@ -188,6 +228,18 @@ class TestFlagTransitivity:
         with pytest.raises(ActionError):
             element_action(hexa, flip, shift_points_only)
 
+    def test_type_error_names_generator_and_element(self):
+        group, apply = hexagon_action({("p", 2): ("e", 2), ("e", 2): ("p", 2)})
+        with pytest.raises(ActionError) as excinfo:
+            element_action(hexagon(), group, apply)
+        assert str(excinfo.value) == "generator 1 does not preserve the type of ('p', 2)"
+
+    def test_incidence_error_names_generator(self):
+        group, apply = hexagon_action({("p", 0): ("p", 2), ("p", 2): ("p", 0)})
+        with pytest.raises(ActionError) as excinfo:
+            element_action(hexagon(), group, apply)
+        assert str(excinfo.value) == "generator 1 does not preserve incidence"
+
 
 class TestGraphs:
     def test_p0_collinearity(self, p0):
@@ -209,7 +261,7 @@ class TestGraphs:
 
     def test_p0_derived_is_petersen(self, p0):
         graph = derived_graph(p0.geometry)
-        assert graphs_isomorphic(graph, petersen_graph())
+        assert graph_isomorphism(graph, petersen_graph()) is not None
 
     def test_t0_derived_regular(self, t0):
         graph = derived_graph(t0.geometry)

@@ -6,8 +6,8 @@ from itertools import combinations
 import pytest
 
 from geomforge import local
-from geomforge.geom import derived_graph, residue
-from geomforge.graphs import Graph, girth, is_isomorphic, petersen_graph
+from geomforge.geom import GeometryError, derived_graph, residue
+from geomforge.graphs import Graph, girth, graph_isomorphism, petersen_graph
 from geomforge.perm import PermutationGroup, induced_action
 from oracles import bfs_girth
 
@@ -27,7 +27,7 @@ class TestSigmaSubgraph:
         point = sp3.geometry.elements_of_type(1)[0]
         subgraph = local.sigma_subgraph(sp3.geometry, point)
         res = residue(sp3.geometry, [point])
-        assert is_isomorphic(subgraph, derived_graph(res))
+        assert graph_isomorphism(subgraph, derived_graph(res)) is not None
 
     def test_top_type_rejected(self, p0):
         vertex = p0.geometry.elements_of_type(2)[0]
@@ -179,3 +179,11 @@ class TestHypothesis61:
         action = induced_action(s4, range(4), lambda g, v: g.images[v])
         with pytest.raises(Exception):
             local.hypothesis_61_check(graph, action)
+
+    def test_error_names_first_non_automorphism(self):
+        square = Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
+        s4 = PermutationGroup.symmetric(4)  # generators (0 1 2 3), (0 1)
+        action = induced_action(s4, range(4), lambda g, v: g.images[v])
+        with pytest.raises(GeometryError) as excinfo:
+            local.hypothesis_61_check(square, action)
+        assert str(excinfo.value) == "generator 1 is not a graph automorphism"
