@@ -120,8 +120,8 @@ def _cmd_build(args):
     return inputs, results
 
 
-def _cmd_verify(args):
-    g, inputs = _load_geometry(args)
+def _checked_axioms(g: Geometry) -> dict:
+    """The axiom report of ``g``; raises CheckFailed when it fails."""
     verdict = geom.is_geometry(g)
     results = {
         "rank": g.rank,
@@ -131,7 +131,12 @@ def _cmd_verify(args):
     }
     if not verdict.ok:
         raise CheckFailed(json.dumps(results, sort_keys=True))
-    return inputs, results
+    return results
+
+
+def _cmd_verify(args):
+    g, inputs = _load_geometry(args)
+    return inputs, _checked_axioms(g)
 
 
 def _cmd_diagram(args):
@@ -154,6 +159,9 @@ def _cmd_natrep(args):
         if args.split:
             raise ValueError("--split is only available for the tilde builtin")
         g, inputs = _load_geometry(args)
+        if "input" in inputs:
+            # um_dimension assumes the axioms, which a file may break
+            _checked_axioms(g)
         result = natrep.um_dimension(g)
     return inputs, result.to_json()
 

@@ -9,7 +9,10 @@ order so that every operation is deterministic and reproducible.
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -59,21 +62,45 @@ def label_key(label):
     raise TypeError(f"unsupported domain label type: {type(label)!r}")
 
 
-class Permutation:
-    """An immutable bijection of {0..degree-1} stored as an image tuple."""
+@lru_cache(maxsize=None)
+def _identity_images(degree: int) -> tuple[int, ...]:
+    return tuple(range(degree))
 
-    __slots__ = ("images", "_hash")
+
+def _as_point(x) -> int:
+    """``x`` as an int; bools, floats and other non-integers raise ValueError."""
+    if isinstance(x, bool):
+        raise ValueError(f"{x!r} is a bool, not an integer")
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{x!r} is not an integer") from None
+
+
+class Permutation:
+    """An immutable bijection of {0..degree-1} stored as an image tuple.
+
+    The public constructor checks its input; products, inverses and
+    identities are bijections by construction and skip that check."""
+
+    __slots__ = ("images",)
 
     def __init__(self, images: Sequence[int]):
-        images = tuple(images)
+        images = tuple(map(_as_point, images))
         if set(images) != set(range(len(images))):
             raise ValueError("images sequence is not a bijection of 0..n-1")
         self.images = images
-        self._hash = hash(images)
+
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap an image tuple already known to be a bijection."""
+        perm = object.__new__(cls)
+        perm.images = images
+        return perm
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls(range(degree))
+        return cls._trusted(_identity_images(degree))
 
     @classmethod
     def from_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
@@ -95,7 +122,9 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         # apply self first, then other
         oth = other.images
-        return Permutation([oth[i] for i in self.images])
+        if len(oth) != len(self.images):
+            raise ValueError("product of permutations of different degrees")
+        return Permutation._trusted(tuple([oth[i] for i in self.images]))
 
     def __pow__(self, n: int) -> "Permutation":
         if n < 0:
@@ -113,10 +142,10 @@ class Permutation:
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == _identity_images(len(self.images))
 
     def order(self) -> int:
         seen = [False] * self.degree
@@ -130,7 +159,7 @@ class Permutation:
                 seen[j] = True
                 j = self.images[j]
                 length += 1
-            result = _lcm(result, length)
+            result = math.lcm(result, length)
         return result
 
     def cycles(self) -> list[tuple[int, ...]]:
@@ -155,7 +184,7 @@ class Permutation:
         return isinstance(other, Permutation) and self.images == other.images
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.images)
 
     def __repr__(self) -> str:
         cyc = self.cycles()
@@ -165,25 +194,23 @@ class Permutation:
         return f"Permutation({body}, degree={self.degree})"
 
 
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
-
-
 # ---------------------------------------------------------------------------
 # stabilizer chains
 
 
 class _ChainLevel:
-    """One level of a stabilizer chain: a base point, its orbit transversal
-    and the strong generators that fix all earlier base points."""
+    """One level of a stabilizer chain: a base point, its inverse orbit
+    transversal and the strong generators that fix all earlier base points.
 
-    __slots__ = ("base", "transversal", "gens")
+    ``inverses[q]`` is the inverse of the transversal element u_q that sends
+    the base point to q; only the inverse is kept, because sifting divides
+    by u_q and holding both would double the chain's memory."""
+
+    __slots__ = ("base", "inverses", "gens")
 
     def __init__(self, base: int, degree: int):
         self.base = base
-        self.transversal: dict[int, Permutation] = {base: Permutation.identity(degree)}
+        self.inverses: dict[int, Permutation] = {base: Permutation.identity(degree)}
         self.gens: list[Permutation] = []
 
 
@@ -245,11 +272,10 @@ class StabilizerChain:
         """Reduce g through the chain; returns (residue, failing level)."""
         for i in range(start, len(self.levels)):
             level = self.levels[i]
-            image = g.images[level.base]
-            rep = level.transversal.get(image)
-            if rep is None:
+            inv = level.inverses.get(g.images[level.base])
+            if inv is None:
                 return g, i
-            g = g * rep.inverse()
+            g = g * inv
         return g, len(self.levels)
 
     def _add_generator(self, g: Permutation, start: int) -> bool:
@@ -281,17 +307,21 @@ class StabilizerChain:
         return gens
 
     def _extend_orbit(self, i: int) -> None:
-        level = self.levels[i]
+        # u_q = u_p * g, so u_q^-1 = g^-1 * u_p^-1.  A generator is inverted
+        # only when it reaches a new point: many calls add no point at all.
+        inverses = self.levels[i].inverses
         gens = self._level_gens(i)
-        queue = sorted(level.transversal)
+        gen_inverses: dict[int, Permutation] = {}
+        queue = sorted(inverses)
         while queue:
             nxt = []
             for p in queue:
-                rep = level.transversal[p]
-                for g in gens:
+                for k, g in enumerate(gens):
                     q = g.images[p]
-                    if q not in level.transversal:
-                        level.transversal[q] = rep * g
+                    if q not in inverses:
+                        if k not in gen_inverses:
+                            gen_inverses[k] = g.inverse()
+                        inverses[q] = gen_inverses[k] * inverses[p]
                         nxt.append(q)
             queue = nxt
 
@@ -301,11 +331,11 @@ class StabilizerChain:
         added to the chain and the check restarts."""
         for i, level in enumerate(self.levels):
             gens = self._level_gens(i)
-            for p in sorted(level.transversal):
-                rep = level.transversal[p]
+            inverses = level.inverses
+            for p in sorted(inverses):
+                rep = inverses[p].inverse()
                 for g in gens:
-                    target = self.levels[i].transversal[g.images[p]]
-                    schreier = rep * g * target.inverse()
+                    schreier = rep * g * inverses[g.images[p]]
                     residue, j = self._sift(schreier, i + 1)
                     if not residue.is_identity():
                         if j == len(self.levels):
@@ -322,7 +352,7 @@ class StabilizerChain:
     def order(self) -> int:
         result = 1
         for level in self.levels:
-            result *= len(level.transversal)
+            result *= len(level.inverses)
         return result
 
     def contains(self, g: Permutation) -> bool:
@@ -351,8 +381,8 @@ class StabilizerChain:
         transversal representatives compose deepest level first."""
         g = Permutation.identity(self.degree)
         for level in reversed(self.levels):
-            p = rng.choice(sorted(level.transversal))
-            g = g * level.transversal[p]
+            p = rng.choice(sorted(level.inverses))
+            g = g * level.inverses[p].inverse()
         return g
 
 
@@ -660,7 +690,7 @@ class GroupAction:
         self.index = {label: i for i, label in enumerate(self.domain)}
         if len(self.index) != len(self.domain):
             raise ValueError("duplicate labels in action domain")
-        self.images = tuple(tuple(img) for img in images)
+        self.images = tuple(tuple(map(_as_point, img)) for img in images)
         if len(self.images) != len(group.generators):
             raise ValueError("one domain image required per group generator")
         n = len(self.domain)
@@ -712,7 +742,8 @@ class GroupAction:
 
     def image_group(self) -> PermutationGroup:
         """The permutation group induced on the domain (the action image)."""
-        gens = [Permutation(img) for img in self.images]
+        # __init__ checked that every image is a bijection of the domain
+        gens = [Permutation._trusted(img) for img in self.images]
         return PermutationGroup(gens, degree=len(self.domain), name=None)
 
     def restricted(self, labels: Sequence) -> "GroupAction":
@@ -849,7 +880,9 @@ def load_group(path) -> PermutationGroup:
 
 
 def group_from_json(payload: dict) -> PermutationGroup:
-    degree = payload["degree"]
+    degree = _as_point(payload["degree"])
+    if degree < 0:
+        raise ValueError(f"negative degree {degree}")
     gens = [Permutation(images) for images in payload["generators"]]
     return PermutationGroup(
         gens,

@@ -51,6 +51,22 @@ class TestExitCodes:
         code, report = run_cli(capsys, "verify", "--input", str(path))
         assert code == 2 and report["status"] == "check-failed"
 
+    def test_natrep_input_checks_axioms(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"rank": 2, "elements": [], "incidences": []}))
+        code, report = run_cli(capsys, "verify", "--input", str(path))
+        assert code == 2 and report["status"] == "check-failed"
+        code, natrep_report = run_cli(capsys, "natrep", "dim", "--input", str(path))
+        assert code == 2 and natrep_report["status"] == "check-failed"
+        assert natrep_report["results"] == report["results"]
+
+    def test_natrep_input_ok(self, capsys, tmp_path):
+        path = tmp_path / "petersen.json"
+        code, _ = run_cli(capsys, "build", "--builtin", "petersen", "--out", str(path))
+        assert code == 0
+        code, report = run_cli(capsys, "natrep", "dim", "--input", str(path))
+        assert code == 0 and report["results"] == {"dim": 6, "points": 15, "rank": 9}
+
     def test_capacity_on_overflow(self, capsys, tmp_path):
         pres = tmp_path / "free.json"
         pres.write_text(json.dumps({"generators": ["a"], "relators": [], "subgroup": []}))

@@ -5,14 +5,20 @@ import json
 from itertools import combinations
 from random import Random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from geomforge.build import symplectic_transvections
 from geomforge.perm import (
     CapacityError,
     ClosureError,
     DomainError,
+    GroupAction,
     Permutation,
     PermutationGroup,
+    StabilizerChain,
     SubgroupPredicate,
     group_from_json,
     group_to_json,
@@ -58,6 +64,26 @@ class TestPermutation:
         p = Permutation.from_cycles(5, [(0, 3, 1)])
         assert p.cycles() == [(0, 3, 1)]
 
+    @pytest.mark.parametrize("images", [
+        [1.0, 0],
+        [True, 0],
+        [1, False],
+        ["1", 0],
+        [None, 0],
+    ], ids=["float", "bool", "bool-zero", "str", "none"])
+    def test_rejects_non_integer_images(self, images):
+        with pytest.raises(ValueError):
+            Permutation(images)
+
+    def test_integer_like_images_become_ints(self):
+        p = Permutation(np.array([2, 0, 1]))
+        assert p.images == (2, 0, 1)
+        assert all(type(x) is int for x in p.images)
+
+    def test_product_of_different_degrees_rejected(self):
+        with pytest.raises(ValueError):
+            Permutation([1, 0]) * Permutation([1, 2, 0])
+
 
 class TestGroupOrder:
     def test_s5(self):
@@ -67,8 +93,6 @@ class TestGroupOrder:
         assert PermutationGroup.trivial(4).order() == 1
 
     def test_sp6_transvections(self):
-        from geomforge.build import symplectic_transvections
-
         group = PermutationGroup(symplectic_transvections(3))
         assert group.order() == 2**9 * 3 * 15 * 63 == 1451520
 
@@ -110,8 +134,6 @@ class TestOrbit:
         assert len(action.orbit((0, 1))) == 10
 
     def test_transvections_on_vectors(self):
-        from geomforge.build import symplectic_transvections
-
         group = PermutationGroup(symplectic_transvections(2))
         action = natural_action(group)
         got = action.orbit(0)
@@ -272,6 +294,12 @@ class TestInducedAction:
         with pytest.raises(ClosureError):
             induced_action(group, [0, 1], lambda g, x: g.images[x])
 
+    @pytest.mark.parametrize("images", [[1.0, 0], [True, 0]], ids=["float", "bool"])
+    def test_non_integer_images_rejected(self, images):
+        group = PermutationGroup([Permutation([1, 0])])
+        with pytest.raises(ValueError):
+            GroupAction(group, ["a", "b"], [images])
+
 
 class TestGroupFiles:
     def test_roundtrip(self, tmp_path):
@@ -290,3 +318,101 @@ class TestGroupFiles:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
             load_group(path)
+
+    @pytest.mark.parametrize("images", [[1.0, 0], [True, 0]], ids=["float", "bool"])
+    def test_non_integer_generator_rejected(self, images):
+        with pytest.raises(ValueError):
+            group_from_json({"degree": 2, "generators": [images]})
+
+    @pytest.mark.parametrize("degree", [2.5, "3", True, -1])
+    def test_malformed_degree_rejected(self, degree):
+        with pytest.raises(ValueError):
+            group_from_json({"degree": degree, "generators": []})
+
+
+class TestTrustedCore:
+    """Products, inverses and chains never go back through the validating
+    constructor: only the generators a caller builds are checked."""
+
+    @pytest.mark.parametrize("make, order", [
+        (lambda: symplectic_transvections(3), 1451520),
+        (lambda: PermutationGroup.symmetric(8).generators, 40320),
+    ], ids=["sp6-2", "s8"])
+    def test_chain_validates_only_its_generators(self, monkeypatch, make, order):
+        built = []
+        validating = Permutation.__init__
+
+        def counting(self, images):
+            built.append(1)
+            validating(self, images)
+
+        monkeypatch.setattr(Permutation, "__init__", counting)
+        gens = list(make())
+        assert len(built) == len(gens)
+        group = PermutationGroup(gens)
+        assert group.order() == order
+        rng = Random(4)
+        for _ in range(5):
+            assert group.contains(group.random_element(rng))
+        assert len(built) == len(gens)
+
+
+def _permutations(max_degree=40):
+    return st.integers(1, max_degree).flatmap(lambda n: st.permutations(range(n)))
+
+
+def _generating_sets(max_degree=7):
+    return st.integers(1, max_degree).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)
+    )
+
+
+class TestProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40).flatmap(
+        lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
+    ))
+    def test_product_is_composition(self, pair):
+        a, b = pair
+        assert (Permutation(a) * Permutation(b)).images == tuple(b[x] for x in a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_permutations())
+    def test_inverse_round_trips(self, images):
+        p = Permutation(images)
+        inv = p.inverse()
+        assert all(inv.images[p.images[x]] == x for x in range(p.degree))
+        assert inv.inverse() == p
+        assert (p * inv).is_identity() and (inv * p).is_identity()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_permutations(), st.booleans())
+    def test_is_identity_matches_scan(self, images, identity):
+        if identity:
+            images = sorted(images)
+        p = Permutation(images)
+        assert p.is_identity() == all(x == y for x, y in enumerate(p.images))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_permutations(), st.integers(-12, 12))
+    def test_power_is_repeated_product(self, images, k):
+        p = Permutation(images)
+        step = p if k >= 0 else p.inverse()
+        expected = Permutation.identity(p.degree)
+        for _ in range(abs(k)):
+            expected = expected * step
+        assert p ** k == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(_generating_sets(), st.data())
+    def test_chain_against_closure(self, gens, data):
+        elements = naive_group_elements(gens)
+        degree = len(gens[0])
+        chain = StabilizerChain(degree, [Permutation(g) for g in gens])
+        assert chain.order() == len(elements)
+        for _ in range(5):
+            other = data.draw(st.permutations(range(degree)))
+            assert chain.contains(Permutation(other)) == (tuple(other) in elements)
+        rng = Random(data.draw(st.integers(0, 2**32)))
+        for _ in range(5):
+            assert chain.sample(rng).images in elements
