@@ -6,9 +6,14 @@ Words are tuples of signed 1-based generator indices (+i for generator i,
 -i for its inverse).  The JSON file format writes words as strings over
 single-letter generator names, uppercase meaning inverse.
 
-The enumeration strategy is relator-driven row filling with a deduction
-stack and immediate coincidence processing; cosets are processed in order
-and rows are completed left to right, so outcomes are reproducible.
+The enumeration is HLT (Holt, Eick and O'Brien, Handbook of Computational
+Group Theory, 2005, section 5.1): each live coset in order is scanned under
+every relator, defining cosets to close the cycles, and its row is then
+completed left to right, so outcomes are reproducible.  The table is one
+flat list, entry (c, col) at c * w + col and -1 while undefined; relators
+are compiled once to columns.  Coincidences are processed at once by the
+Handbook's routine, which leaves entries of live cosets pointing only at
+live cosets, so scans follow entries without a union-find lookup.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .gf2 import MatrixGFp
 from .graphs import Graph
@@ -139,132 +146,23 @@ class EnumerationOutcome:
         if not self.completed:
             raise ValueError("no table: enumeration overflowed")
         return [
-            [self.table[c][2 * g] for c in range(self.index)]
+            [self.table[c][_column(g + 1)] for c in range(self.index)]
             for g in range(len(self.generators))
         ]
 
 
-class _CosetTable:
-    """HLT-style coset table with immediate coincidence processing."""
-
-    def __init__(self, ngens: int, limit: int):
-        self.ngens = ngens
-        self.limit = limit
-        self.table: list[list[Optional[int]]] = [[None] * (2 * ngens)]
-        self.rep: list[int] = [0]  # union-find for coincidences
-        self.alive = 1
-
-    # columns: generator g -> 2g, inverse of g -> 2g+1
-    @staticmethod
-    def column(letter: int) -> int:
-        return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
-
-    @staticmethod
-    def inverse_column(letter: int) -> int:
-        return _CosetTable.column(-letter)
-
-    def find(self, c: int) -> int:
-        while self.rep[c] != c:
-            self.rep[c] = self.rep[self.rep[c]]
-            c = self.rep[c]
-        return c
-
-    def define(self, c: int, col: int) -> int:
-        if len(self.table) >= self.limit:
-            raise _Overflow()
-        d = len(self.table)
-        self.table.append([None] * (2 * self.ngens))
-        self.rep.append(d)
-        self.alive += 1
-        self.table[c][col] = d
-        self.table[d][col ^ 1] = c
-        return d
-
-    def scan_and_fill(self, c: int, word: Word) -> None:
-        """Scan a relator from coset c, defining cosets to close the cycle."""
-        while True:
-            c = self.find(c)
-            f = c  # forward end
-            i = 0
-            n = len(word)
-            while i < n:
-                col = self.column(word[i])
-                nxt = self.table[f][col]
-                if nxt is None:
-                    break
-                f = self.find(nxt)
-                i += 1
-            if i == n:
-                if f != c:
-                    self.coincide(f, c)
-                    continue
-                return
-            b = c  # backward end
-            j = n - 1
-            while j > i:
-                col = self.inverse_column(word[j])
-                nxt = self.table[b][col]
-                if nxt is None:
-                    break
-                b = self.find(nxt)
-                j -= 1
-            if j == i:
-                # gap of one: deduction
-                col = self.column(word[i])
-                self.set_entry(f, col, b)
-                return
-            # fill the first gap and rescan
-            self.define(f, self.column(word[i]))
-
-    def set_entry(self, c: int, col: int, d: int) -> None:
-        c, d = self.find(c), self.find(d)
-        existing = self.table[c][col]
-        if existing is not None:
-            if self.find(existing) != d:
-                self.coincide(self.find(existing), d)
-            return
-        self.table[c][col] = d
-        back = self.table[d][col ^ 1]
-        if back is None:
-            self.table[d][col ^ 1] = c
-        elif self.find(back) != c:
-            self.coincide(self.find(back), c)
-
-    def coincide(self, a: int, b: int) -> None:
-        """Merge coset classes, propagating through table entries."""
-        queue = [(a, b)]
-        while queue:
-            x, y = queue.pop()
-            x, y = self.find(x), self.find(y)
-            if x == y:
-                continue
-            if x > y:
-                x, y = y, x
-            self.rep[y] = x
-            self.alive -= 1
-            for col in range(2 * self.ngens):
-                t = self.table[y][col]
-                if t is None:
-                    continue
-                t = self.find(t)
-                # remove y from t's reverse entry, re-add under x
-                existing = self.table[x][col]
-                if existing is None:
-                    self.table[x][col] = t
-                    back = self.table[t][col ^ 1]
-                    if back is None:
-                        self.table[t][col ^ 1] = x
-                    elif self.find(back) != x:
-                        queue.append((self.find(back), x))
-                elif self.find(existing) != t:
-                    queue.append((self.find(existing), t))
-
-    def live_cosets(self) -> list[int]:
-        return [c for c in range(len(self.table)) if self.find(c) == c]
-
-
 class _Overflow(Exception):
     pass
+
+
+def _column(letter: int) -> int:
+    """Table column of a letter: generator g at 2g - 2, its inverse at 2g - 1."""
+    return 2 * letter - 2 if letter > 0 else -2 * letter - 1
+
+
+def _compile(word: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The columns of a word's letters and of their inverses."""
+    return tuple(map(_column, word)), tuple(_column(-letter) for letter in word)
 
 
 def todd_coxeter(
@@ -276,80 +174,175 @@ def todd_coxeter(
     overflow(limit) when the table would exceed ``limit`` rows."""
     if limit < 1:
         raise ValueError("limit must be positive")
-    ngens = len(presentation.generators)
-    table = _CosetTable(ngens, limit)
-    try:
-        for word in presentation.subgroup:
-            table.scan_and_fill(0, word)
-        c = 0
-        while c < len(table.table):
-            if table.find(c) != c:
-                c += 1
-                continue
-            for word in presentation.relators:
-                table.scan_and_fill(c, word)
-                if table.find(c) != c:
+    w = 2 * len(presentation.generators)
+    relators = [_compile(word) for word in presentation.relators]
+    blank = [-1] * w
+    table = list(blank)  # entry (c, col) at c * w + col, -1 while undefined
+    rep = [0]  # rep[c] == c exactly when coset c is live
+
+    def find(c: int) -> int:
+        r = c
+        while rep[r] != r:
+            r = rep[r]
+        while rep[c] != r:
+            rep[c], c = r, rep[c]
+        return r
+
+    def define(c: int, col: int) -> None:
+        d = len(rep)
+        if d >= limit:
+            raise _Overflow()
+        rep.append(d)
+        table.extend(blank)
+        table[c * w + col] = d
+        table[d * w + (col ^ 1)] = c
+
+    def coincide(a: int, b: int) -> None:
+        """Merge the live cosets a != b and every pair this forces (Handbook
+        COINCIDENCE): the larger coset of each merged pair dies and is
+        queued; each entry of a dead row loses its back-reference and is
+        re-pointed between live representatives, or queues the merge that
+        the representative's own entry forces."""
+        if a > b:
+            a, b = b, a
+        rep[b] = a
+        queue = [b]
+        for dead in queue:  # grows while it is processed
+            base = dead * w
+            for col in range(w):
+                d = table[base + col]
+                if d < 0:
+                    continue
+                back = col ^ 1
+                table[d * w + back] = -1
+                mu = rep[dead]
+                mu = mu if rep[mu] == mu else find(mu)
+                nu = d if rep[d] == d else find(d)
+                x = table[mu * w + col]
+                if x >= 0:
+                    y = nu
+                else:
+                    x = table[nu * w + back]
+                    if x < 0:
+                        table[mu * w + col] = nu
+                        table[nu * w + back] = mu
+                        continue
+                    y = mu
+                x = x if rep[x] == x else find(x)
+                if x != y:
+                    if x > y:
+                        x, y = y, x
+                    rep[y] = x
+                    queue.append(y)
+
+    def scan_and_fill(c: int, fwd: tuple[int, ...], inv: tuple[int, ...]) -> None:
+        """Scan a word from live coset c, defining cosets to close the cycle."""
+        n = len(fwd)
+        f, i, b, j = c, 0, c, n - 1
+        while True:
+            while i < n:
+                nxt = table[f * w + fwd[i]]
+                if nxt < 0:
                     break
-            if table.find(c) == c:
-                for col in range(2 * ngens):
-                    if table.find(c) != c:
-                        break
-                    if table.table[c][col] is None:
-                        table.define(c, col)
+                f = nxt
+                i += 1
+            if i == n:
+                if f == c:
+                    return
+                coincide(f, c)
+                c = find(c)
+                f, i, b, j = c, 0, c, n - 1
+                continue
+            if j < i:  # the forward scan overtook the backward one
+                b, j = c, n - 1
+            while j > i:
+                nxt = table[b * w + inv[j]]
+                if nxt < 0:
+                    break
+                b = nxt
+                j -= 1
+            if j == i:
+                # gap of one: deduce the entry, unless b's inverse entry
+                # already names a coset, which then coincides with f
+                e = table[b * w + inv[i]]
+                if e < 0:
+                    table[f * w + fwd[i]] = b
+                    table[b * w + inv[i]] = f
+                else:
+                    coincide(f, e)
+                return
+            define(f, fwd[i])
+
+    try:
+        for fwd, inv in map(_compile, presentation.subgroup):
+            scan_and_fill(0, fwd, inv)
+        c = 0
+        while c < len(rep):
+            if rep[c] == c:
+                for fwd, inv in relators:
+                    f = c
+                    for col in fwd:  # most scans close at once: skip the call
+                        f = table[f * w + col]
+                        if f < 0:
+                            break
+                    if f != c:
+                        scan_and_fill(c, fwd, inv)
+                        if rep[c] != c:
+                            break
+                else:
+                    for col in range(w):
+                        if table[c * w + col] < 0:
+                            define(c, col)
             c += 1
     except _Overflow:
         return EnumerationOutcome(
             "overflow", limit=limit, generators=presentation.generators
         )
-    live = table.live_cosets()
-    renumber = _standardize(table, live, ngens)
-    final = [[renumber[table.find(table.table[c][col])] for col in range(2 * ngens)]
-             for c in sorted(renumber, key=renumber.get)]
+    order, number = _standardize(table, w, rep)
     outcome = EnumerationOutcome(
         "completed",
-        index=len(live),
-        table=final,
+        index=len(order),
+        table=[[number[d] for d in table[c * w:c * w + w]] for c in order],
         generators=presentation.generators,
     )
     _validate_table(outcome, presentation)
     return outcome
 
 
-def _standardize(table: _CosetTable, live: list[int], ngens: int) -> dict[int, int]:
-    """BFS renumbering from coset 0 scanning columns in order."""
-    start = table.find(0)
-    renumber = {start: 0}
-    queue = [start]
-    while queue:
-        nxt = []
-        for c in queue:
-            for col in range(2 * ngens):
-                d = table.find(table.table[c][col])
-                if d not in renumber:
-                    renumber[d] = len(renumber)
-                    nxt.append(d)
-        queue = nxt
-    if len(renumber) != len(live):
+def _standardize(
+    table: list[int], w: int, rep: list[int]
+) -> tuple[list[int], list[int]]:
+    """BFS renumbering from coset 0 scanning columns in order: the live
+    cosets in their new order, and each coset's new number (-1 if unseen)."""
+    number = [-1] * len(rep)
+    number[0] = 0
+    order = [0]
+    for c in order:  # grows while it is scanned
+        for d in table[c * w:c * w + w]:
+            if number[d] < 0:
+                number[d] = len(order)
+                order.append(d)
+    if len(order) != sum(1 for c, r in enumerate(rep) if c == r):
         raise AssertionError("coset table is not connected")
-    return renumber
+    return order, number
 
 
 def _validate_table(outcome: EnumerationOutcome, presentation: Presentation) -> None:
     """Every relator must trace to its start from every coset, and subgroup
-    words must fix coset 0."""
-    table = outcome.table
+    words must fix coset 0; each letter is one lookup over all cosets."""
+    table = np.array(outcome.table, dtype=np.int64)
+    cosets = np.arange(outcome.index)
 
-    def trace(c: int, word: Word) -> int:
+    def trace(start: np.ndarray, word: Word) -> np.ndarray:
         for letter in word:
-            c = table[c][_CosetTable.column(letter)]
-        return c
+            start = table[start, _column(letter)]
+        return start
 
-    for c in range(outcome.index):
-        for word in presentation.relators:
-            if trace(c, word) != c:
-                raise AssertionError("relator does not trace to identity")
+    for word in presentation.relators:
+        if not np.array_equal(trace(cosets, word), cosets):
+            raise AssertionError("relator does not trace to identity")
     for word in presentation.subgroup:
-        if trace(0, word) != 0:
+        if trace(cosets[:1], word)[0] != 0:
             raise AssertionError("subgroup word moves coset 0")
 
 
@@ -565,7 +558,7 @@ def build_cover(
         letter = edge_labels.get((a, b))
         if letter is None:
             return coset
-        return table[coset][_CosetTable.column(letter)]
+        return table[coset][_column(letter)]
 
     vertices = [(c, v) for c in range(index) for v in complex_.graph.vertices]
     edges = []

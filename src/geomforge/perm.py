@@ -106,6 +106,10 @@ class Permutation:
     def from_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
         images = list(range(degree))
         for cycle in cycles:
+            cycle = [_as_point(a) for a in cycle]
+            for a in cycle:
+                if not 0 <= a < degree:
+                    raise ValueError(f"cycle point {a} outside 0..{degree - 1}")
             for a, b in zip(cycle, cycle[1:]):
                 images[a] = b
             if cycle:

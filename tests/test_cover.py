@@ -5,6 +5,8 @@ from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomforge.cover import (
     CoverCapacityError,
@@ -19,7 +21,7 @@ from geomforge.cover import (
 )
 from geomforge.geom import collinearity_graph
 from geomforge.graphs import Graph, petersen_graph
-from oracles import naive_rank
+from oracles import naive_group_elements, naive_rank
 
 
 def cycle_graph(n):
@@ -31,6 +33,22 @@ def complete_graph(n):
 
 
 A5_RELATORS = ["aa", "bbb", "ababababab"]
+S4_RELATORS = ["aa", "bbb", "abababab"]
+
+# name -> (generators, relators, subgroup)
+SMALL_PRESENTATIONS = {
+    "a5": (["a", "b"], A5_RELATORS, []),
+    "s4": (["a", "b"], S4_RELATORS, []),
+    "d8": (["a", "b"], ["aa", "bb", "abababab"], []),
+    "q8": (["a", "b"], ["aaaa", "bbAA", "Baba"], []),
+    "s4-over-a": (["a", "b"], S4_RELATORS, ["a"]),
+}
+
+
+def rewritten(word, shift, invert):
+    """A rotation of ``word``, inverted when ``invert`` is set."""
+    word = word[shift:] + word[:shift]
+    return word[::-1].swapcase() if invert else word
 
 
 class TestToddCoxeter:
@@ -66,13 +84,13 @@ class TestToddCoxeter:
         outcome = todd_coxeter(pres)
         assert outcome.index == 8  # dihedral of order 8
         table = outcome.table
-        from geomforge.cover import _CosetTable
+        from geomforge.cover import _column
 
         for c in range(outcome.index):
             for word in pres.relators:
                 cur = c
                 for letter in word:
-                    cur = table[cur][_CosetTable.column(letter)]
+                    cur = table[cur][_column(letter)]
                 assert cur == c
 
     def test_quaternion_group(self):
@@ -95,6 +113,29 @@ class TestToddCoxeter:
         with pytest.raises(ValueError):
             todd_coxeter(pres, limit=0)
 
+    @pytest.mark.parametrize("generators, relators, subgroup, rows, index", [
+        (["a", "b"], A5_RELATORS, [], 82, 60),
+        (["a", "b"], S4_RELATORS, [], 31, 24),
+        (["a", "b", "c"], ["aa", "bb", "cc", "ababab", "bcbcbc", "acac"], ["a"], 18, 12),
+        (["a"], ["aa"], [], 2, 2),
+    ], ids=["a5", "triangle-234", "coxeter-a3-over-a", "order-2"])
+    def test_limit_boundary_pins_cosets_defined(self, generators, relators, subgroup, rows, index):
+        # the strategy defines exactly ``rows`` cosets, counting coset 0
+        pres = Presentation.from_strings(generators, relators, subgroup)
+        assert todd_coxeter(pres, limit=rows - 1).status == "overflow"
+        outcome = todd_coxeter(pres, limit=rows)
+        assert outcome.completed and outcome.index == index
+
+    def test_no_generators_has_index_one(self):
+        outcome = todd_coxeter(Presentation(()))
+        assert outcome.completed and outcome.index == 1 and outcome.table == [[]]
+
+    def test_subgroup_scan_collapses_origin(self):
+        # <a | a^6> over <a^2, a^3> = the whole group
+        pres = Presentation.from_strings(["a"], ["aaaaaa"], ["aa", "aaa"])
+        outcome = todd_coxeter(pres)
+        assert outcome.index == 1 and outcome.table == [[0, 0]]
+
     def test_coset_permutations(self):
         pres = Presentation.from_strings(["a", "b"], ["aa", "bb", "ababab"])
         outcome = todd_coxeter(pres)
@@ -102,6 +143,34 @@ class TestToddCoxeter:
         assert len(perms) == 2
         for p in perms:
             assert sorted(p) == list(range(outcome.index))
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(SMALL_PRESENTATIONS)), st.data())
+    def test_relator_rewriting_keeps_table(self, name, data):
+        generators, relators, subgroup = SMALL_PRESENTATIONS[name]
+        expected = todd_coxeter(Presentation.from_strings(generators, relators, subgroup))
+        words = [
+            rewritten(w, data.draw(st.integers(0, len(w) - 1)), data.draw(st.booleans()))
+            for w in relators
+        ]
+        words = data.draw(st.permutations(words))
+        pres = Presentation.from_strings(generators, words, subgroup)
+        outcome = todd_coxeter(pres)
+        assert outcome.table == expected.table
+        if subgroup:
+            return
+        # over the trivial subgroup the cosets carry the regular action
+        perms = [tuple(p) for p in outcome.coset_permutations()]
+        inverses = [tuple(sorted(range(len(p)), key=p.__getitem__)) for p in perms]
+        for word in pres.relators:
+            for start in range(outcome.index):
+                c = start
+                for letter in word:
+                    c = perms[letter - 1][c] if letter > 0 else inverses[-letter - 1][c]
+                assert c == start
+        assert len(naive_group_elements(perms)) == outcome.index
 
 
 class TestPresentationParsing:

@@ -64,6 +64,11 @@ class TestPermutation:
         p = Permutation.from_cycles(5, [(0, 3, 1)])
         assert p.cycles() == [(0, 3, 1)]
 
+    @pytest.mark.parametrize("point", [5, 3, -1])
+    def test_from_cycles_rejects_points_outside_degree(self, point):
+        with pytest.raises(ValueError, match=f"cycle point {point} outside 0..2"):
+            Permutation.from_cycles(3, [(0, point)])
+
     @pytest.mark.parametrize("images", [
         [1.0, 0],
         [True, 0],
