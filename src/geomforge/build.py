@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .geom import (
@@ -221,10 +222,24 @@ def symplectic_transvections(n: int) -> list[Permutation]:
     return out
 
 
+def symplectic_generators(n: int) -> list[Permutation]:
+    """The transvections of ``symplectic_transvections(n)`` kept in vector
+    order when the group generated by those kept before does not contain
+    them: 3n - 1 of the 2^2n - 1, and they generate Sp_2n(2)."""
+    kept: list[Permutation] = []
+    group: Optional[PermutationGroup] = None
+    for t in symplectic_transvections(n):
+        if group is None or not group.contains(t):
+            kept.append(t)
+            group = PermutationGroup(kept)
+    return kept
+
+
 def symplectic_polar_space(n: int, rank_bound: int = SYMPLECTIC_RANK_BOUND) -> ConstructionMetadata:
     """Nonzero totally isotropic subspaces of GF(2)^2n typed by dimension,
-    with Sp_2n(2) generated by all transvections.  Flag-transitivity is
-    verified at build time for n <= 3."""
+    with Sp_2n(2) generated by the transvections of
+    :func:`symplectic_generators`, its order asserted.  The axioms and
+    flag-transitivity are verified at build time for 2 <= n <= 3."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > rank_bound:
@@ -250,7 +265,9 @@ def symplectic_polar_space(n: int, rank_bound: int = SYMPLECTIC_RANK_BOUND) -> C
         elements.extend((s, d) for s in subs)
     all_subs = [s for subs in by_dim for s in subs]
     geometry = Geometry(n, elements, _containment_incidences(all_subs))
-    group = PermutationGroup(symplectic_transvections(n), name=f"Sp{dim}(2)")
+    # |Sp_2n(2)| = 2^(n^2) (4 - 1)(4^2 - 1)...(4^n - 1)
+    order = prod(4**i - 1 for i in range(1, n + 1)) << (n * n)
+    group = PermutationGroup(symplectic_generators(n), name=f"Sp{dim}(2)", expected_order=order)
 
     def apply(g: Permutation, sub):
         return tuple(sorted(g.images[v - 1] + 1 for v in sub))

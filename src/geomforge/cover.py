@@ -77,7 +77,12 @@ class Presentation:
         subgroup: Sequence[str] = (),
     ) -> "Presentation":
         """Parse words over single-letter generator names; uppercase means
-        inverse."""
+        inverse.  Each of the three fields is a sequence of strings; a bare
+        string is refused rather than read one character at a time."""
+        fields = {"generators": generators, "relators": relators, "subgroup": subgroup}
+        for label, value in fields.items():
+            if isinstance(value, str):
+                raise PresentationError(f"{label} must be a list of strings, not {value!r}")
         for name in generators:
             if len(name) != 1 or not name.isalpha() or not name.islower():
                 raise PresentationError(

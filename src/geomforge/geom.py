@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import groupby
+from itertools import combinations, groupby
 from typing import Iterable, Optional, Sequence
 
 from .graphs import Graph, graph_isomorphism
@@ -499,7 +499,8 @@ def diagram(g: Geometry) -> DiagramReport:
         missing = tuple(t for t in types if t not in flag_types)
         # two classes already make the edge unknown
         if len(missing) == 2 and len(classes[missing]) < 2:
-            classes[missing].add(_classify_rank2(residue(g, flag)))
+            points = frozenset(e for e in cands if g.type_of[e] == missing[0])
+            classes[missing].add(_classify_rank2(g, flag, points, cands - points))
         elif len(missing) == 1:
             sizes[missing[0]].add(len(cands))
         return None
@@ -510,69 +511,41 @@ def diagram(g: Geometry) -> DiagramReport:
     return DiagramReport(g.rank, edges, orders)
 
 
-def _classify_rank2(res: Geometry) -> str:
-    if res.rank != 2:
-        return UNKNOWN
-    points = res.elements_of_type(1)
-    lines = res.elements_of_type(2)
+def _classify_rank2(g: Geometry, flag: tuple, points: frozenset, lines: frozenset) -> str:
+    """Class of the rank-2 residue of ``flag``, whose elements of the lower
+    missing type are ``points`` and the others ``lines``, read off the
+    pencils of ``g``.  Only the isomorphism tests build the residue."""
     if not points or not lines:
         return UNKNOWN
-    if all(res.incident(p, l) for p in points for l in lines):
+    adj = g._adj
+    if all(lines <= adj[p] for p in points):
         return DIGON
-    if _is_fano(res, points, lines):
-        return PROJECTIVE_PLANE_2
-    if _is_gq22(res, points, lines):
-        return GQ_2_2
-    if len(points) == 15 and len(lines) == 10 and _matches_reference(res, "petersen"):
+    counts = (len(points), len(lines))
+    if counts in ((7, 7), (15, 15)):
+        on_point = {p: adj[p] & lines for p in points}
+        on_line = {l: adj[l] & points for l in lines}
+        if all(len(s) == 3 for s in (*on_point.values(), *on_line.values())):
+            # Fano: two distinct points lie on exactly one common line
+            if counts == (7, 7) and all(
+                len(on_point[p] & on_point[q]) == 1 for p, q in combinations(points, 2)
+            ):
+                return PROJECTIVE_PLANE_2
+            if counts == (15, 15) and _is_quadrangle(on_point, on_line):
+                return GQ_2_2
+    if counts == (15, 10) and _matches_reference(residue(g, flag), "petersen"):
         return PETERSEN_EDGE
-    if len(points) == 45 and len(lines) == 45 and _matches_reference(res, "tilde"):
+    if counts == (45, 45) and _matches_reference(residue(g, flag), "tilde"):
         return TILDE_EDGE
     return UNKNOWN
 
 
-def _is_fano(res: Geometry, points, lines) -> bool:
-    if len(points) != 7 or len(lines) != 7:
-        return False
-    for l in lines:
-        if sum(1 for p in points if res.incident(p, l)) != 3:
+def _is_quadrangle(on_point: dict, on_line: dict) -> bool:
+    """Generalized-quadrangle axiom: a point off a line is collinear with
+    exactly one of its points."""
+    for through in on_point.values():
+        near = frozenset().union(*(on_line[l] for l in through))
+        if any(len(on_line[l] & near) != 1 for l in on_line if l not in through):
             return False
-    for p in points:
-        if sum(1 for l in lines if res.incident(p, l)) != 3:
-            return False
-    # any two distinct points on exactly one common line
-    for i, p in enumerate(points):
-        for q in points[i + 1 :]:
-            common = sum(
-                1 for l in lines if res.incident(p, l) and res.incident(q, l)
-            )
-            if common != 1:
-                return False
-    return True
-
-
-def _is_gq22(res: Geometry, points, lines) -> bool:
-    if len(points) != 15 or len(lines) != 15:
-        return False
-    on_line = {l: [p for p in points if res.incident(p, l)] for l in lines}
-    on_point = {p: [l for l in lines if res.incident(p, l)] for p in points}
-    if any(len(v) != 3 for v in on_line.values()):
-        return False
-    if any(len(v) != 3 for v in on_point.values()):
-        return False
-    collinear = {p: set() for p in points}
-    for l, ps in on_line.items():
-        for a in ps:
-            for b in ps:
-                if a != b:
-                    collinear[a].add(b)
-    # generalized-quadrangle axiom: point off a line sees exactly one of its points
-    for p in points:
-        for l in lines:
-            if res.incident(p, l):
-                continue
-            seen = sum(1 for q in on_line[l] if q in collinear[p])
-            if seen != 1:
-                return False
     return True
 
 

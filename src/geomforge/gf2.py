@@ -90,17 +90,23 @@ class MatrixGFp:
         if cols is None:
             cols = len(rows[0]) if len(rows) else 0
         dense = np.zeros((len(rows), cols), dtype=np.uint8)
-        for i, row in enumerate(rows):
-            if len(row) != cols:
-                raise ShapeError("ragged row lengths")
-            dense[i] = np.asarray(row, dtype=np.int64) % prime
+        try:
+            for i, row in enumerate(rows):
+                if len(row) != cols:
+                    raise ShapeError("ragged row lengths")
+                dense[i] = np.asarray(row, dtype=np.int64) % prime
+        except OverflowError as exc:
+            raise ValueError(f"value outside the 64-bit integer range: {exc}") from exc
         return cls._from_dense(prime, dense)
 
     @classmethod
     def from_entries(cls, prime: int, rows: int, cols: int, entries: Iterable[tuple[int, int, int]]) -> "MatrixGFp":
         """Build from (row, col, value) coordinate triples; repeated
         coordinates add up."""
-        triples = np.array([(r, c, v) for r, c, v in entries], dtype=np.int64).reshape(-1, 3)
+        try:
+            triples = np.array([(r, c, v) for r, c, v in entries], dtype=np.int64).reshape(-1, 3)
+        except OverflowError as exc:
+            raise ValueError(f"value outside the 64-bit integer range: {exc}") from exc
         r, c, v = triples.T
         outside = np.flatnonzero((r < 0) | (r >= rows) | (c < 0) | (c >= cols))
         if outside.size:

@@ -154,3 +154,38 @@ def subspace_count(n, k):
         num *= Fraction(2**n - 2**i, 2**k - 2**i)
     assert num.denominator == 1
     return int(num)
+
+
+def naive_rank2_class(points, lines, incidences):
+    """'digon', 'projective-plane-2', 'gq-2-2' or 'unknown' for a rank-2
+    incidence structure given as point and line lists and (point, line)
+    pairs, decided from the axioms by brute force over all pairs."""
+    inc = set(incidences)
+    if not points or not lines:
+        return "unknown"
+    if all((p, l) in inc for p in points for l in lines):
+        return "digon"
+    on = {l: {p for p in points if (p, l) in inc} for l in lines}
+    through = {p: {l for l in lines if (p, l) in inc} for p in points}
+    # order 2: three points on every line, three lines on every point
+    if any(len(s) != 3 for s in list(on.values()) + list(through.values())):
+        return "unknown"
+    point_pairs = [(p, q) for i, p in enumerate(points) for q in points[i + 1 :]]
+    line_pairs = [(l, m) for i, l in enumerate(lines) for m in lines[i + 1 :]]
+    # projective plane: two points span exactly one line, two lines meet in
+    # exactly one point
+    if all(len(through[p] & through[q]) == 1 for p, q in point_pairs) and all(
+        len(on[l] & on[m]) == 1 for l, m in line_pairs
+    ):
+        return "projective-plane-2"
+    # generalized quadrangle: two points span at most one line, and a point
+    # off a line lies on exactly one line meeting it
+    if all(len(through[p] & through[q]) <= 1 for p, q in point_pairs) and all(
+        sum(1 for m in through[p] if on[m] & on[l]) == 1
+        for p in points
+        for l in lines
+        if p not in on[l]
+    ):
+        # GQ(2,2) has (s + 1)(st + 1) = 15 points and as many lines
+        return "gq-2-2" if len(points) == len(lines) == 15 else "unknown"
+    return "unknown"

@@ -105,6 +105,20 @@ class TestSymplectic:
         with pytest.raises(Exception):
             build.symplectic_polar_space(5)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_few_transvections_generate(self, n):
+        gens = build.symplectic_generators(n)
+        assert set(gens) <= set(build.symplectic_transvections(n))
+        assert len(gens) <= 3 * n - 1
+        order = 2 ** (n * n)
+        for i in range(1, n + 1):
+            order *= 4**i - 1
+        assert PermutationGroup(gens).order() == order
+
+    def test_group_on_picked_generators(self, gq22, sp3):
+        assert list(gq22.group.generators) == build.symplectic_generators(2)
+        assert list(sp3.group.generators) == build.symplectic_generators(3)
+
     def test_top_residue_isomorphic_to_projective(self, sp3, fano):
         plane = sp3.geometry.elements_of_type(3)[0]
         res = residue(sp3.geometry, [plane])

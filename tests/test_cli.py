@@ -117,7 +117,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("generators, relators", [
         (["a"], [[1]]),
         ([["a"]], []),
-    ], ids=["list-relator", "list-generator"])
+        (["a"], "aa"),
+        ("ab", []),
+    ], ids=["list-relator", "list-generator", "str-relators", "str-generators"])
     def test_malformed_presentation(self, capsys, tmp_path, generators, relators):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"generators": generators, "relators": relators}))

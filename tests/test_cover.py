@@ -188,6 +188,16 @@ class TestPresentationParsing:
         assert pres.word_to_string(pres.relators[0]) == "aa"
         assert pres.subgroup == ((2,),)
 
+    @pytest.mark.parametrize("field, value", [
+        ("generators", "ab"),
+        ("relators", "aa"),
+        ("subgroup", "a"),
+    ])
+    def test_bare_string_field_rejected(self, field, value):
+        payload = {"generators": ["a", "b"], "relators": ["aa"], "subgroup": ["b"], field: value}
+        with pytest.raises(PresentationError, match=field):
+            Presentation.from_json(payload)
+
 
 class TestPi1:
     def test_five_cycle(self):

@@ -1,7 +1,11 @@
 """Incidence geometry core tests: axioms, residues, diagrams, flags,
 graphs, truncations, quotients, coverings, isomorphism and amalgams."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomforge import build
 from geomforge.geom import (
@@ -9,6 +13,7 @@ from geomforge.geom import (
     CapacityError,
     FlagError,
     Geometry,
+    GeometryError,
     GeometryMorphism,
     MorphismError,
     StructureError,
@@ -27,6 +32,7 @@ from geomforge.geom import (
 )
 from geomforge.graphs import graph_isomorphism, petersen_graph
 from geomforge.perm import Permutation, PermutationGroup, induced_action
+from oracles import naive_rank2_class
 
 
 def hexagon():
@@ -186,6 +192,105 @@ class TestDiagram:
         )
         assert isomorphic(base, relabeled) is not None
         assert diagram(relabeled).edges == diagram(base).edges
+
+
+def rank2_residues(g):
+    """The flag and the residue of every flag of size rank - 2."""
+    out = []
+
+    def visit(flag, cands):
+        if len(flag) == g.rank - 2:
+            out.append((flag, residue(g, flag)))
+
+    g.walk_flags(visit, max_size=g.rank - 2)
+    return out
+
+
+def plain_rank2(res):
+    """A rank-2 geometry as point and line lists and (point, line) pairs."""
+    pairs = [(a, b) if res.type_of[a] == 1 else (b, a) for a, b in res.incidence_pairs()]
+    return list(res.elements_of_type(1)), list(res.elements_of_type(2)), pairs
+
+
+def rank2_geometry(points, lines, pairs):
+    return Geometry(2, [(p, 1) for p in points] + [(l, 2) for l in lines], pairs)
+
+
+class TestDiagramOracle:
+    @pytest.mark.parametrize("name", ["pg3", "pg4", "sp3", "gq22"])
+    def test_residues_match_oracle(self, name, gq22, sp3):
+        metas = {"gq22": gq22, "sp3": sp3}
+        meta = metas.get(name) or build.projective_geometry_2(int(name[-1]))
+        g = meta.geometry
+        found: dict = {}
+        for flag, res in rank2_residues(g):
+            expected = naive_rank2_class(*plain_rank2(res))
+            assert diagram(res).edge(1, 2) == expected
+            flag_types = {g.type_of[e] for e in flag}
+            cotype = tuple(t for t in range(1, g.rank + 1) if t not in flag_types)
+            found.setdefault(cotype, set()).add(expected)
+        assert found and all(len(classes) == 1 for classes in found.values())
+        assert diagram(g).edges == {pair: classes.pop() for pair, classes in found.items()}
+
+    @pytest.mark.parametrize("name, expected", [
+        ("digon", "digon"),
+        ("fano", "projective-plane-2"),
+        ("gq22", "gq-2-2"),
+    ])
+    def test_one_incidence_off_is_unknown(self, name, expected, gq22, sp3, fano):
+        if name == "digon":
+            line = sp3.geometry.elements_of_type(2)[0]
+            res = residue(sp3.geometry, [line])
+        else:
+            res = {"fano": fano, "gq22": gq22}[name].geometry
+        points, lines, pairs = plain_rank2(res)
+        assert naive_rank2_class(points, lines, pairs) == expected
+        present = set(pairs)
+        absent = [(p, l) for p in points for l in lines if (p, l) not in present]
+        copies = [pairs[:i] + pairs[i + 1 :] for i in range(len(pairs))]
+        copies += [pairs + [extra] for extra in absent]
+        for copy in copies:
+            assert naive_rank2_class(points, lines, copy) == "unknown"
+            perturbed = rank2_geometry(points, lines, copy)
+            if is_geometry(perturbed).ok:
+                assert diagram(perturbed).edge(1, 2) == "unknown"
+            else:
+                with pytest.raises(GeometryError):
+                    diagram(perturbed)
+
+    @pytest.mark.parametrize("n, base, expected", [
+        (7, (0, 1, 3), "projective-plane-2"),
+        (7, (0, 1, 2), "unknown"),
+        (15, (0, 1, 3), "unknown"),
+        (15, (0, 1, 2), "unknown"),
+    ])
+    def test_circulants_match_oracle(self, n, base, expected):
+        # point i on line j when i - j is in base: every point and line has
+        # three neighbours, so only the plane and quadrangle axioms decide
+        points = [("p", i) for i in range(n)]
+        lines = [("l", j) for j in range(n)]
+        pairs = [(("p", (j + d) % n), ("l", j)) for j in range(n) for d in base]
+        assert naive_rank2_class(points, lines, pairs) == expected
+        assert diagram(rank2_geometry(points, lines, pairs)).edge(1, 2) == expected
+
+    @pytest.mark.parametrize("name", ["w52", "pg32"])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_relabelled_copies_share_diagram(self, name, sp3, seed):
+        rnd = random.Random(seed)
+        base = sp3.geometry if name == "w52" else build.projective_geometry_2(4).geometry
+        labels = list(range(base.size))
+        rnd.shuffle(labels)
+        new_id = {e: f"e{label}" for e, label in zip(base.elements, labels)}
+        elements = [(new_id[e], base.type_of[e]) for e in base.elements]
+        incidences = [
+            (new_id[a], new_id[b]) if rnd.random() < 0.5 else (new_id[b], new_id[a])
+            for a, b in base.incidence_pairs()
+        ]
+        rnd.shuffle(elements)
+        rnd.shuffle(incidences)
+        copy = Geometry(base.rank, elements, incidences)
+        assert diagram(copy) == diagram(base)
 
 
 class TestFlagTransitivity:

@@ -193,6 +193,16 @@ class TestInputReduction:
         m = MatrixGFp.from_entries(3, 1, 2, [(0, 0, -1), (0, 1, -4)])
         assert m.to_rows() == [[2, 2]]
 
+    @pytest.mark.parametrize("build", [
+        lambda: MatrixGFp.from_rows(2, [[2**63]]),
+        lambda: MatrixGFp.from_rows(3, [[0, -(2**63) - 1]]),
+        lambda: MatrixGFp.from_entries(2, 1, 1, [(0, 0, 2**64)]),
+        lambda: MatrixGFp.from_entries(3, 1, 1, [(2**64, 0, 1)]),
+    ], ids=["rows-gf2", "rows-gf3", "entries-value", "entries-coordinate"])
+    def test_entries_beyond_64_bits_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
 
 @st.composite
 def matrices(draw, max_rows=24):
