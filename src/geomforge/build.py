@@ -205,7 +205,7 @@ def _swap_bit_pairs(y: int) -> int:
 
 def _symplectic_form(x: int, y: int, n: int) -> int:
     # hyperbolic pairs on adjacent bit positions; n only bounds the width
-    return bin(x & _swap_bit_pairs(y)).count("1") & 1
+    return (x & _swap_bit_pairs(y)).bit_count() & 1
 
 
 def symplectic_transvections(n: int) -> list[Permutation]:
@@ -257,7 +257,7 @@ def symplectic_polar_space(n: int, rank_bound: int = SYMPLECTIC_RANK_BOUND) -> C
             for v in range(1, size):
                 if v in sub_set:
                     continue
-                if all(bin(v & s).count("1") & 1 == 0 for s in swapped):
+                if all((v & s).bit_count() & 1 == 0 for s in swapped):
                     nxt.add(_span(list(sub) + [v]))
         by_dim.append(sorted(nxt))
     elements = []

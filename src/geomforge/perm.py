@@ -128,7 +128,11 @@ class Permutation:
         oth = other.images
         if len(oth) != len(self.images):
             raise ValueError("product of permutations of different degrees")
-        return Permutation._trusted(tuple([oth[i] for i in self.images]))
+        # itemgetter returns a scalar for one index and raises for none; the
+        # only permutation of degree 0 or 1 is the identity
+        if len(oth) <= 1:
+            return self
+        return Permutation._trusted(operator.itemgetter(*self.images)(oth))
 
     def __pow__(self, n: int) -> "Permutation":
         if n < 0:

@@ -7,6 +7,7 @@ from geomforge import build, local, m22
 from geomforge.geom import derived_graph, diagram, is_flag_transitive, is_geometry
 from geomforge.graphs import girth
 from geomforge.natrep import um_dimension, verify_natural_representation
+from geomforge.perm import PermutationGroup
 pytestmark = pytest.mark.stretch
 
 
@@ -103,3 +104,18 @@ class TestP1Geometry:
         assert report.verdict, report.first_failure
         assert report.local_order == 168  # L3(2) on the 7 neighbors
         assert report.kernel_order == 16
+
+
+def test_build_takes_each_setwise_stabilizer_once(monkeypatch):
+    # the M24 duad stabilizer and one heptad normalizer, which
+    # subgroup_pattern_geometry checks; lru_cache is bypassed
+    calls = []
+    setwise = PermutationGroup._setwise_stabilizer
+
+    def counting(self, points):
+        calls.append(len(points))
+        return setwise(self, points)
+
+    monkeypatch.setattr(PermutationGroup, "_setwise_stabilizer", counting)
+    m22.build_m22_geometry.__wrapped__(6)
+    assert calls == [2, 7]

@@ -53,6 +53,10 @@ class TestPermutation:
         p = Permutation.from_cycles(3, [(0, 1)])
         q = Permutation.from_cycles(3, [(1, 2)])
         assert (p * q)(0) == q(p(0)) == 2
+        # degrees 0 and 1 take the identity branch of the product
+        for images in ([], [0]):
+            product = Permutation(images) * Permutation(images)
+            assert type(product) is Permutation and product.images == tuple(images)
 
     def test_order_and_power(self):
         p = Permutation.from_cycles(6, [(0, 1, 2), (3, 4)])
@@ -363,7 +367,7 @@ class TestTrustedCore:
 
 
 def _permutations(max_degree=40):
-    return st.integers(1, max_degree).flatmap(lambda n: st.permutations(range(n)))
+    return st.integers(0, max_degree).flatmap(lambda n: st.permutations(range(n)))
 
 
 def _generating_sets(max_degree=7):
@@ -374,7 +378,7 @@ def _generating_sets(max_degree=7):
 
 class TestProperties:
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 40).flatmap(
+    @given(st.integers(0, 40).flatmap(
         lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
     ))
     def test_product_is_composition(self, pair):
@@ -407,6 +411,24 @@ class TestProperties:
         for _ in range(abs(k)):
             expected = expected * step
         assert p ** k == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _generating_sets(),
+        st.one_of(st.none(), st.text(max_size=8)),
+        st.sampled_from([-1, 1]),
+    )
+    def test_group_file_round_trip(self, gens, name, off):
+        group = PermutationGroup([Permutation(g) for g in gens], name=name)
+        payload = json.loads(json.dumps(group_to_json(group)))
+        again = group_from_json(payload)
+        assert again.generators == group.generators
+        assert (again.degree, again.name, again.order()) == (
+            group.degree, group.name, group.order()
+        )
+        payload["expected_order"] += off
+        with pytest.raises(ValueError):
+            group_from_json(payload)
 
     @settings(max_examples=60, deadline=None)
     @given(_generating_sets(), st.data())
