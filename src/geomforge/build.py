@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import prod
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .geom import (
     CapacityError,
@@ -25,7 +25,7 @@ from .geom import (
     quotient_by_action,
     is_s_covering,
 )
-from .gf2 import _basis_of, _span, _subspace_dim
+from .gf2 import _basis_of, _span, _subspace_dim, _subspaces
 from .perm import (
     GroupAction,
     Permutation,
@@ -105,41 +105,19 @@ def petersen_geometry() -> ConstructionMetadata:
 # GF(2) subspace machinery
 
 
-def _all_subspaces(ambient: Sequence[int], max_dim: int) -> list[tuple[int, ...]]:
-    """All nonzero subspaces of the span of ``ambient`` up to max_dim."""
-    ambient_set = set(ambient)
-    current = {(v,) for v in ambient}
-    out = sorted(current)
-    for _ in range(max_dim - 1):
-        nxt = set()
-        for sub in current:
-            sub_set = set(sub)
-            for v in ambient_set - sub_set:
-                nxt.add(_span(list(sub) + [v]))
-        current = nxt
-        out.extend(sorted(current))
-    return out
-
-
-def _containment_incidences(
-    subspaces: Sequence[tuple[int, ...]], shift: int = 0
-) -> list[tuple]:
-    """Containment pairs among the given subspaces, found by enumerating the
-    proper nonzero subspaces of each member instead of scanning all pairs.
-    Entry e of a tuple encodes the vector e + shift (shift 1 for 0-based
-    permutation points, 0 for plain masks)."""
-    present = set(subspaces)
-    out = []
-    for big in subspaces:
-        dim = _subspace_dim(big)
-        if dim < 2:
-            continue
-        vectors = [e + shift for e in big]
-        for small_vec in _all_subspaces(vectors, dim - 1):
-            small = tuple(v - shift for v in small_vec)
-            if small in present:
-                out.append((small, big))
-    return out
+def _containment_incidences(subspaces: Sequence[tuple[int, ...]]) -> list[tuple]:
+    """Containment pairs (small, big) among the given subspaces, compared as
+    sets of vectors: the members containing ``small`` are the intersection
+    of the pencils of members through each of its vectors."""
+    on: dict[int, set] = {}
+    for sub in subspaces:
+        for v in sub:
+            on.setdefault(v, set()).add(sub)
+    return [
+        (small, big)
+        for small in subspaces
+        for big in set.intersection(*(on[v] for v in small)) - {small}
+    ]
 
 
 def projective_geometry_2(n: int) -> ConstructionMetadata:
@@ -153,8 +131,7 @@ def projective_geometry_2(n: int) -> ConstructionMetadata:
         group = PermutationGroup.trivial(1)
         action = element_action(geometry, group, lambda g, e: e)
         return ConstructionMetadata(geometry, group, action, provenance={"name": "pg", "n": 1})
-    ambient = list(range(1, 1 << n))
-    subspaces = _all_subspaces(ambient, n - 1)
+    subspaces = [s for d in range(1, n) for s in _subspaces(range(1, 1 << n), d)]
     elements = [(s, _subspace_dim(s)) for s in subspaces]
     geometry = Geometry(n - 1, elements, _containment_incidences(subspaces))
     group = _general_linear_group(n)
@@ -310,10 +287,6 @@ class SubgroupPatternInput:
             raise ValueError("subspace_points is not closed under addition")
 
 
-def _points_to_subspace(points: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(points))
-
-
 def _apply_points(g: Permutation, sub: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(g.images[p] for p in sub))
 
@@ -349,31 +322,21 @@ def subgroup_pattern_geometry(pattern: SubgroupPatternInput) -> Geometry:
             "normalizer of E does not induce the full linear group on E"
         )
     dim_e = _subspace_dim(e_points)
-    seeds = []
-    sub_vectors = _all_subspaces([p + 1 for p in e_points], dim_e)
-    for sub in sub_vectors:
-        seeds.append(_points_to_subspace(v - 1 for v in sub))
-    elements_by_type: dict[int, set] = {d: set() for d in range(1, dim_e + 1)}
-    for seed in seeds:
-        d = _subspace_dim(seed)
-        if seed in elements_by_type[d]:
-            continue
-        queue = [seed]
-        elements_by_type[d].add(seed)
-        while queue:
-            nxt = []
-            for sub in queue:
-                for g in group.generators:
-                    img = _apply_points(g, sub)
-                    if img not in elements_by_type[d]:
-                        elements_by_type[d].add(img)
-                        nxt.append(img)
-            queue = nxt
+    e_vectors = [p + 1 for p in e_points]
     elements = []
-    for d in sorted(elements_by_type):
-        elements.extend((s, d) for s in sorted(elements_by_type[d]))
-    all_subs = [s for s, _ in elements]
-    return Geometry(dim_e, elements, _containment_incidences(all_subs, shift=1))
+    for d in range(1, dim_e + 1):
+        # the d-subspaces of E as points, closed under the generators
+        orbit = {tuple(v - 1 for v in s) for s in _subspaces(e_vectors, d)}
+        queue = list(orbit)
+        while queue:
+            sub = queue.pop()
+            for g in group.generators:
+                img = _apply_points(g, sub)
+                if img not in orbit:
+                    orbit.add(img)
+                    queue.append(img)
+        elements.extend((s, d) for s in sorted(orbit))
+    return Geometry(dim_e, elements, _containment_incidences([s for s, _ in elements]))
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +417,7 @@ def tilde_geometry(seed: int) -> ConstructionMetadata:
 
     # candidate E: orbit representatives of 2-subspaces, orbit length 45,
     # normalizer inducing GL2(2) on E
-    two_subspaces = sorted(
-        {
-            _points_to_subspace(v - 1 for v in _span([v1, v2]))
-            for v1 in range(1, 64)
-            for v2 in range(v1 + 1, 64)
-        }
-    )
+    two_subspaces = [tuple(v - 1 for v in s) for s in _subspaces(range(1, 64), 2)]
     sub_action = induced_action(group, two_subspaces, _apply_points)
     passing: list[tuple[tuple[int, ...], list]] = []
     seen: set = set()

@@ -75,20 +75,21 @@ def _builtin_metadata(name: str, n: int | None, seed: int | None) -> build.Const
     raise ValueError(f"unknown builtin {name!r}; choose from {_BUILTIN_NAMES}")
 
 
+def _builtin(args) -> tuple[build.ConstructionMetadata, dict]:
+    """The builtin that ``args`` names, and the report inputs naming it."""
+    inputs = {"builtin": args.builtin}
+    for key in ("n", "seed"):
+        if getattr(args, key) is not None:
+            inputs[key] = getattr(args, key)
+    return _builtin_metadata(args.builtin, args.n, args.seed), inputs
+
+
 def _load_geometry(args) -> tuple[Geometry, dict]:
-    inputs: dict = {}
-    if getattr(args, "input", None):
-        inputs["input"] = _digest_file(args.input)
-        return Geometry.load(args.input), inputs
-    name = getattr(args, "builtin", None)
-    if not name:
+    if args.input:
+        return Geometry.load(args.input), {"input": _digest_file(args.input)}
+    if not args.builtin:
         raise ValueError("either --input or --builtin is required")
-    inputs["builtin"] = name
-    if getattr(args, "n", None) is not None:
-        inputs["n"] = args.n
-    if getattr(args, "seed", None) is not None:
-        inputs["seed"] = args.seed
-    meta = _builtin_metadata(name, getattr(args, "n", None), getattr(args, "seed", None))
+    meta, inputs = _builtin(args)
     return meta.geometry, inputs
 
 
@@ -101,12 +102,7 @@ def _counts(g: Geometry) -> list[int]:
 
 
 def _cmd_build(args):
-    meta = _builtin_metadata(args.builtin, args.n, args.seed)
-    inputs = {"builtin": args.builtin}
-    if args.n is not None:
-        inputs["n"] = args.n
-    if args.seed is not None:
-        inputs["seed"] = args.seed
+    meta, inputs = _builtin(args)
     results = {
         "rank": meta.geometry.rank,
         "counts": _counts(meta.geometry),
@@ -148,16 +144,12 @@ def _cmd_diagram(args):
 def _cmd_natrep(args):
     if args.action != "dim":
         raise ValueError(f"unknown natrep action {args.action!r}")
-    inputs: dict
-    if args.builtin in ("tilde",) and args.split:
-        if args.seed is None:
-            raise ValueError("--seed is required for the tilde builtin")
-        meta = build.tilde_geometry(args.seed)
-        result = natrep.o3_split_dims(meta.geometry, meta)
-        inputs = {"builtin": args.builtin, "seed": args.seed}
-    else:
-        if args.split:
+    if args.split:
+        if args.builtin != "tilde":
             raise ValueError("--split is only available for the tilde builtin")
+        meta, inputs = _builtin(args)
+        result = natrep.o3_split_dims(meta.geometry, meta)
+    else:
         g, inputs = _load_geometry(args)
         if "input" in inputs:
             # um_dimension assumes the axioms, which a file may break
@@ -210,18 +202,8 @@ def _cmd_cover(args):
     return inputs, results
 
 
-def _metadata_for_local(args) -> build.ConstructionMetadata:
-    name = args.builtin
-    if not name:
-        raise ValueError("--builtin is required")
-    return _builtin_metadata(name, getattr(args, "n", None), getattr(args, "seed", None))
-
-
 def _cmd_local(args):
-    meta = _metadata_for_local(args)
-    inputs = {"builtin": args.builtin}
-    if args.seed is not None:
-        inputs["seed"] = args.seed
+    meta, inputs = _builtin(args)
     g = meta.geometry
     top = g.elements_of_type(g.rank)
     if args.vertex < 0 or args.vertex >= len(top):
@@ -247,10 +229,7 @@ def _cmd_local(args):
 
 
 def _cmd_hyp61(args):
-    meta = _metadata_for_local(args)
-    inputs = {"builtin": args.builtin}
-    if args.seed is not None:
-        inputs["seed"] = args.seed
+    meta, inputs = _builtin(args)
     g = meta.geometry
     delta = geom.derived_graph(g)
     action = meta.action.restricted(g.elements_of_type(g.rank))
@@ -295,9 +274,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="parallelism cap; results are independent of it")
     sub = parser.add_subparsers(dest="command")
 
-    def add_geometry_source(p, need_builtin=False):
-        if not need_builtin:
-            p.add_argument("--input", help="geometry JSON file")
+    def add_geometry_source(p):
+        p.add_argument("--input", help="geometry JSON file")
         p.add_argument("--builtin", choices=_BUILTIN_NAMES)
         p.add_argument("--n", type=int, help="rank parameter for pg/sp")
         p.add_argument("--seed", type=int, help="seed for randomized builtins")

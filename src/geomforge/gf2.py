@@ -14,13 +14,14 @@ the two elimination kernels work on the payload itself, GF(2) word-parallel,
 with column pivoting in natural order so that echelon forms are
 deterministic.
 
-The module also holds the GF(2)-span helpers on integer bit masks (``_span``,
-``_basis_of``, ``_subspace_dim``) that the constructions and the natural
-representation checks share.
+The module also holds the GF(2)-subspace helpers on integer bit masks
+(``_basis_of``, ``_span``, ``_subspaces``, ``_subspace_dim``) that the
+constructions and the natural representation checks share.
 """
 
 from __future__ import annotations
 
+from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -327,6 +328,22 @@ def _span(vectors: Iterable[int]) -> tuple[int, ...]:
         out |= {x ^ b for x in out}
     out.discard(0)
     return tuple(sorted(out))
+
+
+def _subspaces(vectors: Iterable[int], dim: int) -> list[tuple[int, ...]]:
+    """Every dim-subspace of the span of the masks exactly once, as a sorted
+    list.  In coordinates over ``_basis_of`` each has one reduced echelon
+    basis: row i is basis[p_i] for pivot positions p_0 < ... < p_(dim-1),
+    plus any combination of the later non-pivot basis vectors."""
+    basis = _basis_of(vectors)
+    out = []
+    for pivots in combinations(range(len(basis)), dim):
+        rows = []
+        for p in pivots:
+            free = _span(basis[j] for j in range(p + 1, len(basis)) if j not in pivots)
+            rows.append([basis[p] ^ x for x in (0, *free)])
+        out.extend(_span(choice) for choice in product(*rows))
+    return sorted(out)
 
 
 def _subspace_dim(subspace: Sequence[int]) -> int:

@@ -10,11 +10,11 @@ the weight-3 line relation rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .build import ConstructionMetadata
 from .geom import Geometry, GeometryError
-from .gf2 import MatrixGFp, _span, _subspace_dim
+from .gf2 import MatrixGFp, _span, _subspace_dim, _subspaces
 from .perm import label_key
 
 __all__ = [
@@ -203,9 +203,8 @@ def verify_natural_representation(g: Geometry, assignment: dict) -> Representati
                 for y in g.pencil(x)
                 if g.type_of[y] == j
             ]
-            images = {frozenset(span_cache[y]) for y in res_j}
-            expected = _subspaces_of(span_cache[x], j)
-            if len(images) != len(res_j) or images != expected:
+            images = {span_cache[y] for y in res_j}
+            if len(images) != len(res_j) or images != set(_subspaces(span_cache[x], j)):
                 failures.append(
                     f"element {x!r}: type-{j} residue does not map "
                     f"bijectively onto the {j}-subspaces of its span"
@@ -228,16 +227,3 @@ def _bits_to_mask(bits) -> int:
         if int(b) % 2:
             mask |= 1 << i
     return mask
-
-
-def _subspaces_of(span: Sequence[int], dim: int) -> set:
-    """All dim-subspaces of a spanned space, as frozensets of sorted tuples."""
-    from itertools import combinations
-
-    out = set()
-    vectors = list(span)
-    for basis in combinations(vectors, dim):
-        sub = _span(basis)
-        if _subspace_dim(sub) == dim:
-            out.add(frozenset(sub))
-    return out

@@ -370,9 +370,6 @@ class StabilizerChain:
     def base(self) -> list[int]:
         return [level.base for level in self.levels]
 
-    def strong_generators(self) -> list[Permutation]:
-        return self._level_gens(0)
-
     def stabilizer_generators(self, fixed: int) -> list[Permutation]:
         """Generators of the subgroup fixing the first ``fixed`` base-prefix
         points.  Level k always carries base-prefix point k (new levels take
@@ -627,13 +624,18 @@ class PermutationGroup:
 
     def minimal_normal_subgroups(self, bound: int = NORMAL_ORDER_BOUND) -> list["PermutationGroup"]:
         """Normal closures of prime-order cyclic subgroups, minimal under
-        inclusion.  Requires full element enumeration, hence the bound."""
+        inclusion: one closure per conjugacy class of such subgroups.
+        Requires full element enumeration, hence the bound."""
         if self.order() > bound:
             raise CapacityError(
                 f"group order {self.order()} above normal-subgroup bound {bound}"
             )
         if self.order() == 1:
             return []
+
+        def cyclic_key(x: Permutation, p: int) -> tuple:
+            return tuple(sorted((x ** k).images for k in range(1, p)))
+
         cyclic_seeds: dict[tuple, Permutation] = {}
         for g in self.elements(bound=bound):
             if g.is_identity():
@@ -641,18 +643,31 @@ class PermutationGroup:
             o = g.order()
             p = _smallest_prime_factor(o)
             x = g ** (o // p)
-            key = tuple(sorted((x ** k).images for k in range(1, p)))
-            cyclic_seeds.setdefault(key, x)
+            cyclic_seeds.setdefault(cyclic_key(x, p), x)
+        conjugators = [(g.inverse(), g) for g in self.generators]
+        marked: set[tuple] = set()
         closures: list[PermutationGroup] = []
         seen_orders: dict[int, list[PermutationGroup]] = {}
-        for x in cyclic_seeds.values():
-            if any(c.contains(x) and c.order() <= x.order() for c in closures):
+        for key, x in cyclic_seeds.items():
+            if key in marked:
                 continue
+            # conjugate seeds share x's normal closure: mark the whole class
+            marked.add(key)
+            p = x.order()
+            queue = [x]
+            while queue:
+                h = queue.pop()
+                for ginv, g in conjugators:
+                    conj = ginv * h * g
+                    conj_key = cyclic_key(conj, p)
+                    if conj_key not in marked:
+                        marked.add(conj_key)
+                        queue.append(conj)
             closure = self.normal_closure([x])
-            key = closure.order()
-            if any(closure.is_subgroup_of(other) for other in seen_orders.get(key, [])):
+            order = closure.order()
+            if any(closure.is_subgroup_of(other) for other in seen_orders.get(order, [])):
                 continue
-            seen_orders.setdefault(key, []).append(closure)
+            seen_orders.setdefault(order, []).append(closure)
             closures.append(closure)
         minimal = []
         for n_sub in closures:
@@ -662,12 +677,7 @@ class PermutationGroup:
             ):
                 continue
             minimal.append(n_sub)
-        # dedupe equal subgroups
-        out: list[PermutationGroup] = []
-        for n_sub in minimal:
-            if not any(n_sub.order() == m.order() and n_sub.is_subgroup_of(m) for m in out):
-                out.append(n_sub)
-        return sorted(out, key=lambda g: g.order())
+        return sorted(minimal, key=lambda g: g.order())
 
     def __repr__(self) -> str:
         label = self.name or f"{len(self.generators)} gens"
@@ -792,22 +802,6 @@ def induced_action(group: PermutationGroup, domain: Iterable, apply: Callable) -
             row.append(j)
         images.append(row)
     return GroupAction(group, labels, images)
-
-
-def closure_domain(group: PermutationGroup, seeds: Iterable, apply: Callable) -> list:
-    """Smallest superset of the seeds closed under the generators."""
-    seen = set(seeds)
-    queue = sorted(seen, key=label_key)
-    while queue:
-        nxt = []
-        for label in queue:
-            for g in group.generators:
-                target = apply(g, label)
-                if target not in seen:
-                    seen.add(target)
-                    nxt.append(target)
-        queue = nxt
-    return sorted(seen, key=label_key)
 
 
 def natural_action(group: PermutationGroup) -> GroupAction:

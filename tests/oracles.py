@@ -4,6 +4,7 @@ These deliberately avoid the library's own code paths."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 
 def naive_rank(rows, p):
@@ -154,6 +155,26 @@ def subspace_count(n, k):
         num *= Fraction(2**n - 2**i, 2**k - 2**i)
     assert num.denominator == 1
     return int(num)
+
+
+def naive_span(vectors):
+    """Every vector (zero included) of the GF(2)-span of the bit masks."""
+    out = {0}
+    for v in vectors:
+        out |= {x ^ v for x in out}
+    return out
+
+
+def naive_subspaces(vectors, k):
+    """Every k-subspace of the span of the masks, as frozensets of nonzero
+    vectors: close each k-subset of the span and keep those of 2^k - 1."""
+    nonzero = sorted(naive_span(vectors) - {0})
+    out = set()
+    for subset in combinations(nonzero, k):
+        closed = naive_span(subset) - {0}
+        if len(closed) == 2**k - 1:
+            out.add(frozenset(closed))
+    return out
 
 
 def naive_rank2_class(points, lines, incidences):

@@ -241,6 +241,26 @@ class TestTilde:
         assert point_vectors == set(big)
 
 
+class TestContainmentIncidences:
+    @pytest.mark.parametrize(
+        "construct,arg",
+        [
+            (build.projective_geometry_2, 3),
+            (build.projective_geometry_2, 4),
+            (build.symplectic_polar_space, 2),
+            (build.symplectic_polar_space, 3),
+            (build.tilde_geometry, 9),
+        ],
+    )
+    def test_matches_pairwise_scan(self, construct, arg):
+        elements = list(construct(arg).geometry.elements)
+        pairs = build._containment_incidences(elements)
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == {
+            (a, b) for a in elements for b in elements if set(a) < set(b)
+        }
+
+
 class TestGaussianBinomial:
     @pytest.mark.parametrize("n,expected", [(2, 1), (3, 7), (4, 35), (5, 155)])
     def test_values(self, n, expected):

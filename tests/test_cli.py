@@ -206,6 +206,12 @@ class TestCommands:
             == "absence of regular normal subgroups"
         )
 
+    @pytest.mark.parametrize("command", [("hyp61",), ("local", "kernels")])
+    def test_builtin_inputs_keep_n(self, capsys, command):
+        code, report = run_cli(capsys, *command, "--builtin", "pg", "--n", "3")
+        assert code == 0
+        assert report["inputs"]["builtin"] == "pg" and report["inputs"]["n"] == 3
+
     def test_bench(self, capsys):
         code, report = run_cli(capsys, "bench", "--sizes", "100", "--seed", "9")
         assert code == 0

@@ -1,6 +1,7 @@
 """GF(2)/GF(3) linear algebra tests against a schoolbook eliminator."""
 
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from geomforge.gf2 import (
     image_kernel,
     parse_matrix,
     solve,
+    _subspaces,
 )
-from oracles import naive_rank
+from oracles import naive_rank, naive_span, naive_subspaces, subspace_count
 
 
 def petersen_incidence_rows():
@@ -274,6 +276,24 @@ class TestProperties:
         assert basis.rows == cols - naive_rank(rows, p)
         assert is_rref(kernel)
         assert all(not any(m.apply(x)) for x in kernel)
+
+
+class TestSubspaces:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 63), max_size=8))
+    def test_matches_naive_enumeration(self, vectors):
+        span = naive_span(vectors)
+        d = len(span).bit_length() - 1
+        for k in range(d + 2):
+            subs = _subspaces(vectors, k)
+            assert subs == sorted(set(subs))
+            for sub in subs:
+                assert len(sub) == 2**k - 1 and set(sub) <= span
+                assert all(a ^ b in sub for a in sub for b in sub if a != b)
+            assert len(subs) == subspace_count(d, k)
+            # the oracle closes every k-subset of the span: keep it small
+            if comb(len(span) - 1, k) <= 20_000:
+                assert {frozenset(s) for s in subs} == naive_subspaces(vectors, k)
 
 
 class TestPerformance:

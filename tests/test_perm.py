@@ -228,6 +228,21 @@ class TestMinimalNormalSubgroups:
         with pytest.raises(CapacityError):
             group.minimal_normal_subgroups(bound=100)
 
+    @pytest.mark.parametrize("degree,classes,minimal", [(4, 3, 4), (5, 4, 60)])
+    def test_one_normal_closure_per_conjugacy_class(self, monkeypatch, degree, classes, minimal):
+        # S4 and S5 have 3 and 4 classes of subgroups of prime order
+        calls = []
+        normal_closure = PermutationGroup.normal_closure
+
+        def counted(group, seeds):
+            calls.append(seeds)
+            return normal_closure(group, seeds)
+
+        monkeypatch.setattr(PermutationGroup, "normal_closure", counted)
+        group = PermutationGroup.symmetric(degree)
+        assert [g.order() for g in group.minimal_normal_subgroups()] == [minimal]
+        assert len(calls) == classes
+
 
 class TestSubgroupSearch:
     def test_a4_inside_s4(self):
