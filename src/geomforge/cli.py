@@ -221,9 +221,12 @@ def _cmd_local(args):
             raise CheckFailed(json.dumps(results, sort_keys=True))
         return inputs, results
     if args.action == "kernels":
-        report = local.kernel_series(meta, vertex, args.smax)
-        results = report.to_json()
-        results["condition_star"] = local.condition_star(meta)
+        # one series serves the report and condition (*); a negative s_max
+        # goes through unchanged so that kernel_series refuses it
+        radius = max(args.smax, g.rank - 1) if args.smax >= 0 else args.smax
+        series = local.kernel_series(meta, vertex, radius)
+        results = local.KernelSeriesReport(vertex, series.orders[: args.smax + 1]).to_json()
+        results["condition_star"] = local.condition_star(meta, series)
         return inputs, results
     raise ValueError(f"unknown local action {args.action!r}")
 

@@ -133,13 +133,15 @@ class Graph:
 
 def girth(graph: Graph):
     """Length of a shortest cycle via BFS from every vertex; float('inf')
-    for forests."""
+    for forests.  A cycle closed from depth d has length at least 2d + 1, so
+    a BFS stops at the first depth where that reaches the best cycle found."""
     best = float("inf")
     for root in graph.vertices:
         dist = {root: 0}
         parent = {root: None}
         queue = [root]
-        while queue:
+        depth = 0
+        while queue and 2 * depth + 1 < best:
             nxt = []
             for v in queue:
                 for w in graph.neighbors(v):
@@ -151,6 +153,7 @@ def girth(graph: Graph):
                         # non-tree edge closing a cycle through the root side
                         best = min(best, dist[v] + dist[w] + 1)
             queue = nxt
+            depth += 1
     return best
 
 

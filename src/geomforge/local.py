@@ -15,6 +15,7 @@ from .graphs import Graph, girth
 from .perm import (
     GroupAction,
     PermutationGroup,
+    StabilizerChain,
     induced_action,
     label_key,
 )
@@ -115,32 +116,50 @@ def _derived_action(meta: ConstructionMetadata) -> tuple[Graph, GroupAction]:
 
 
 def kernel_series(meta: ConstructionMetadata, a, s_max: int) -> KernelSeriesReport:
-    """Pointwise stabilizer orders of balls around a, computed inside the
-    action image on derived-graph vertices."""
+    """Pointwise stabilizer orders of balls around a, read off one stabilizer
+    chain of the action image on derived-graph vertices.
+
+    The chain's base starts with the ball of radius s_max, nearer vertices
+    first, and level k of a verified chain is the stabilizer of the first k
+    base points, so |K_s| is the product of the orbit sizes of the levels
+    from |ball(a, s)| down."""
     if s_max < 0:
         raise ValueError("s_max must be nonnegative")
     delta, action = _derived_action(meta)
     if a not in action.index:
         raise GeometryError(f"{a!r} is not a derived-graph vertex")
+    distance = {v: d for v, d in delta.distances(a).items() if d <= s_max}
+    ball = sorted(distance, key=lambda v: (distance[v], label_key(v)))
     image = action.image_group()
-    orders: list[int] = []
+    chain = StabilizerChain(
+        image.degree, image.generators, base_prefix=[action.index[v] for v in ball]
+    )
+    # suffix[k] = order of the stabilizer of the first k base points
+    suffix = [1]
+    for level in reversed(chain.levels):
+        suffix.append(suffix[-1] * len(level.inverses))
+    suffix.reverse()
+    orders = []
     for s in range(s_max + 1):
-        ball = delta.ball(a, s)
-        points = [action.index[v] for v in ball]
-        orders.append(image.stabilizer(points, mode="pointwise").order())
+        fixed = sum(1 for d in distance.values() if d <= s)
+        orders.append(suffix[min(fixed, len(chain.levels))])
     return KernelSeriesReport(a, orders)
 
 
-def condition_star(meta: ConstructionMetadata) -> bool:
+def condition_star(
+    meta: ConstructionMetadata, series: Optional[KernelSeriesReport] = None
+) -> bool:
     """The kernel on the radius-(rank - 1) ball has order at most 2; by
-    flag-transitivity one vertex decides for all."""
+    flag-transitivity one vertex decides for all.  A ``series`` already
+    computed for that vertex up to that radius is read instead of
+    recomputed."""
     g = meta.geometry
     if g.rank < 2:
         raise GeometryError("condition (*) requires rank at least 2")
-    delta, action = _derived_action(meta)
-    vertex = delta.vertices[0]
-    report = kernel_series(meta, vertex, g.rank - 1)
-    return report.orders[-1] <= 2
+    vertex = derived_graph(g).vertices[0]
+    if series is None or series.vertex != vertex or len(series.orders) < g.rank:
+        series = kernel_series(meta, vertex, g.rank - 1)
+    return series.orders[g.rank - 1] <= 2
 
 
 @dataclass

@@ -831,10 +831,11 @@ def subgroup_search(
 ) -> Optional[PermutationGroup]:
     """Randomized search for a subgroup matching the predicate.
 
-    Strategy: draw pairs of uniform random elements, prune by element order,
-    and test the order of the subgroup they generate together with the
-    required contained subgroup.  Deterministic for a fixed seed; returns
-    None when the trial budget runs out.
+    Strategy: draw pairs of uniform random elements, prune by element order
+    and by orbit lengths (by orbit-stabilizer every orbit length of a group
+    divides its order), and test the order of the subgroup they generate
+    together with the required contained subgroup.  Deterministic for a
+    fixed seed; returns None when the trial budget runs out.
     """
     ambient_order = group.order()
     if ambient_order % predicate.order != 0:
@@ -858,16 +859,40 @@ def subgroup_search(
         if b.order() not in allowed:
             continue
         gens = required + [a, b]
+        if any(predicate.order % n for n in _orbit_lengths(group.degree, gens)):
+            continue
         sub_chain = StabilizerChain(
             group.degree, gens, seed=1, order_limit=predicate.order
         )
         if sub_chain.aborted or sub_chain.order() != predicate.order:
             continue
+        # the order limit only stops a build, so this is the seed-1 chain
+        # the group would build for itself
         candidate = PermutationGroup(gens, degree=group.degree)
-        if candidate.order() != predicate.order:
-            continue
+        candidate._chain = sub_chain
         return candidate
     return None
+
+
+def _orbit_lengths(degree: int, gens: Sequence[Permutation]) -> list[int]:
+    """Lengths of the orbits of <gens> on 0..degree-1."""
+    unseen = set(range(degree))
+    lengths = []
+    while unseen:
+        queue = [unseen.pop()]
+        size = 1
+        while queue:
+            nxt = []
+            for p in queue:
+                for g in gens:
+                    q = g.images[p]
+                    if q in unseen:
+                        unseen.remove(q)
+                        nxt.append(q)
+            size += len(nxt)
+            queue = nxt
+        lengths.append(size)
+    return lengths
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,33 @@ class TestCommands:
             == "absence of regular normal subgroups"
         )
 
+    @pytest.mark.parametrize("index, smax, vertex, orders", [
+        (5, 2, "(1, 51, 53)", [48, 2, 1]),
+        (0, 0, "(0, 17, 18)", [48]),
+        (0, 3, "(0, 17, 18)", [48, 2, 1, 1]),
+    ], ids=["vertex-5", "smax-0", "smax-3"])
+    def test_local_kernels_tilde(self, capsys, index, smax, vertex, orders):
+        # one kernel series serves the orders and condition (*); the report
+        # is the one two separate series gave
+        code, report = run_cli(
+            capsys, "local", "kernels", "--builtin", "tilde", "--seed", "9",
+            "--vertex", str(index), "--smax", str(smax),
+        )
+        assert code == 0
+        assert strip_elapsed(report) == {
+            "command": "local",
+            "inputs": {"builtin": "tilde", "seed": 9, "vertex": index},
+            "results": {"condition_star": True, "orders": orders, "vertex": vertex},
+            "status": "ok",
+        }
+
+    def test_local_kernels_negative_smax(self, capsys):
+        code, report = run_cli(
+            capsys, "local", "kernels", "--builtin", "tilde", "--seed", "9", "--smax", "-1"
+        )
+        assert code == 4 and report["status"] == "bad-input"
+        assert report["results"] == {"error": "s_max must be nonnegative"}
+
     @pytest.mark.parametrize("command", [("hyp61",), ("local", "kernels")])
     def test_builtin_inputs_keep_n(self, capsys, command):
         code, report = run_cli(capsys, *command, "--builtin", "pg", "--n", "3")

@@ -1,6 +1,7 @@
 """Coset enumeration, fundamental groups, triangulability, homology and
 finite covers."""
 
+import json
 from itertools import combinations
 from random import Random
 
@@ -171,6 +172,32 @@ class TestProperties:
                     c = perms[letter - 1][c] if letter > 0 else inverses[-letter - 1][c]
                 assert c == start
         assert len(naive_group_elements(perms)) == outcome.index
+
+
+@st.composite
+def _triangle_complexes(draw):
+    vertices = draw(st.lists(
+        st.one_of(st.integers(-99, 99), st.text(max_size=4)), unique=True, max_size=8
+    ))
+    edges = [
+        (a, b)
+        for i, a in enumerate(vertices)
+        for b in vertices[i + 1 :]
+        if draw(st.booleans())
+    ]
+    graph = Graph(vertices, edges)
+    triangles = [t for t in graph.triangles() if draw(st.booleans())]
+    return TriangleComplex(graph, tuple(triangles))
+
+
+class TestComplexFiles:
+    @settings(max_examples=80, deadline=None)
+    @given(_triangle_complexes())
+    def test_json_round_trip(self, complex_):
+        again = TriangleComplex.from_json(json.loads(json.dumps(complex_.to_json())))
+        assert again.graph.vertices == complex_.graph.vertices
+        assert again.graph.edges() == complex_.graph.edges()
+        assert again.triangles == complex_.triangles
 
 
 class TestPresentationParsing:

@@ -1,7 +1,9 @@
 """Incidence geometry core tests: axioms, residues, diagrams, flags,
 graphs, truncations, quotients, coverings, isomorphism and amalgams."""
 
+import json
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,70 @@ class TestStructure:
         p0.geometry.save(path)
         again = Geometry.load(path)
         assert isomorphic(p0.geometry, again) is not None
+
+
+def _json_name(eid):
+    """The id an element gets back from a JSON file."""
+    return eid if isinstance(eid, str) else repr(eid)
+
+
+_IDS = st.one_of(st.integers(-99, 99), st.text(max_size=4))
+
+
+@st.composite
+def _incidence_systems(draw):
+    rank = draw(st.integers(1, 3))
+    ids = draw(st.lists(_IDS, unique_by=_json_name, max_size=10))
+    types = {e: draw(st.integers(1, rank)) for e in ids}
+    incidences = [
+        (a, b)
+        for i, a in enumerate(ids)
+        for b in ids[i + 1 :]
+        if types[a] != types[b] and draw(st.booleans())
+    ]
+    return Geometry(rank, list(types.items()), incidences)
+
+
+@lru_cache(maxsize=None)
+def _round_trip_builtins():
+    return tuple(
+        meta.geometry
+        for meta in (
+            build.petersen_geometry(),
+            build.symplectic_polar_space(2),
+            build.projective_geometry_2(3),
+        )
+    )
+
+
+@st.composite
+def _relabelled_builtins(draw):
+    g = draw(st.sampled_from(_round_trip_builtins()))
+    names = draw(st.lists(
+        _IDS, unique_by=_json_name, min_size=len(g.elements), max_size=len(g.elements)
+    ))
+    rename = dict(zip(g.elements, names))
+    return Geometry(
+        g.rank,
+        [(rename[e], g.type_of[e]) for e in g.elements],
+        [(rename[a], rename[b]) for a, b in g.incidence_pairs()],
+    )
+
+
+class TestFileRoundTrip:
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(_incidence_systems(), _relabelled_builtins()))
+    def test_geometry_json_keeps_structure(self, g):
+        again = Geometry.from_json(json.loads(json.dumps(g.to_json())))
+        assert again.rank == g.rank
+        assert again.type_of == {_json_name(e): t for e, t in g.type_of.items()}
+        assert {frozenset(p) for p in again.incidence_pairs()} == {
+            frozenset(map(_json_name, p)) for p in g.incidence_pairs()
+        }
+        assert is_geometry(again).ok == is_geometry(g).ok
+        # ids read back from a file are already strings, so a second round
+        # trip gives the same file
+        assert Geometry.from_json(again.to_json()).to_json() == again.to_json()
 
 
 class TestIsGeometry:

@@ -1,11 +1,14 @@
 """Local analysis tests: sigma subgraphs, the projective-space structure of
 vertex stars, kernel series, condition (*), girth and the girth-5 check."""
 
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geomforge import local
+from geomforge import build, local
 from geomforge.geom import GeometryError, derived_graph, residue
 from geomforge.graphs import Graph, girth, graph_isomorphism, petersen_graph
 from geomforge.perm import PermutationGroup, induced_action
@@ -105,6 +108,31 @@ class TestKernelSeries:
         assert report.orders[0] * delta.n == action.image_group().order()
 
 
+    @pytest.mark.parametrize("name", ["petersen", "pg3", "tilde9"])
+    def test_matches_pointwise_stabilizer_of_each_ball(self, name):
+        meta = _kernel_builds()[name]
+        delta = derived_graph(meta.geometry)
+        action = meta.action.restricted(delta.vertices)
+        image = action.image_group()
+        for vertex in delta.vertices:
+            expected = [
+                image.stabilizer(
+                    [action.index[v] for v in delta.ball(vertex, s)], mode="pointwise"
+                ).order()
+                for s in range(4)
+            ]
+            assert local.kernel_series(meta, vertex, 3).orders == expected
+
+
+@lru_cache(maxsize=None)
+def _kernel_builds():
+    return {
+        "petersen": build.petersen_geometry(),
+        "pg3": build.projective_geometry_2(3),
+        "tilde9": build.tilde_geometry(9),
+    }
+
+
 class TestConditionStar:
     def test_p0_true(self, p0):
         assert local.condition_star(p0) is True
@@ -147,6 +175,28 @@ class TestGirth:
             graph = Graph(range(n), edges)
             adjacency = {v: graph.neighbors(v) for v in graph.vertices}
             assert girth(graph) == bfs_girth(adjacency)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))),
+    )))
+    def test_matches_oracle(self, graph_data):
+        n, pairs = graph_data
+        graph = Graph(range(n), {tuple(sorted(p)) for p in pairs if p[0] != p[1]})
+        adjacency = {v: graph.neighbors(v) for v in graph.vertices}
+        assert girth(graph) == bfs_girth(adjacency)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 12).flatmap(lambda n: st.lists(
+        st.one_of(st.none(), st.integers(0, max(n - 1, 0))), min_size=n, max_size=n
+    )))
+    def test_forests_are_infinite(self, parents):
+        # vertex i hangs below an earlier vertex or starts a new tree
+        edges = [(p % i, i) for i, p in enumerate(parents) if i and p is not None]
+        graph = Graph(range(len(parents)), edges)
+        adjacency = {v: graph.neighbors(v) for v in graph.vertices}
+        assert girth(graph) == bfs_girth(adjacency) == float("inf")
 
 
 class TestHypothesis61:

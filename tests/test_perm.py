@@ -2,6 +2,7 @@
 machinery, subgroup search and induced actions."""
 
 import json
+from functools import lru_cache
 from itertools import combinations
 from random import Random
 
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomforge.build import symplectic_transvections
+import geomforge.perm as perm_module
+from geomforge.build import gamma_l3_4, symplectic_transvections
 from geomforge.perm import (
     CapacityError,
     ClosureError,
@@ -267,6 +269,84 @@ class TestSubgroupSearch:
         a = subgroup_search(s4, SubgroupPredicate(order=8), seed=5)
         b = subgroup_search(s4, SubgroupPredicate(order=8), seed=5)
         assert [g.images for g in a.generators] == [g.images for g in b.generators]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_search_without_orbit_filter(self, data):
+        group, scalar = data.draw(st.sampled_from(_SEARCH_AMBIENTS))()
+        order = group.order()
+        target = data.draw(st.sampled_from(
+            [d for d in range(1, order) if order % d == 0]
+        ))
+        if data.draw(st.booleans()):
+            # the order of a random two-generated subgroup, which a search
+            # can reach, unless that subgroup is the whole group
+            rng = Random(data.draw(st.integers(0, 2**32 - 1)))
+            pair = PermutationGroup([group.random_element(rng) for _ in range(2)])
+            if pair.order() < order:
+                target = pair.order()
+        contains = None
+        if scalar is not None and target % 3 == 0 and data.draw(st.booleans()):
+            contains = PermutationGroup([scalar])
+        predicate = SubgroupPredicate(order=target, contains=contains)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        max_trials = data.draw(st.integers(1, 40))
+        found = subgroup_search(group, predicate, seed=seed, max_trials=max_trials)
+        expected = _unfiltered_search(group, predicate, seed, max_trials)
+        if expected is None:
+            assert found is None
+        else:
+            assert found is not None
+            assert [g.images for g in found.generators] == [g.images for g in expected]
+            assert found.order() == target
+
+    def test_orbit_lengths_skip_most_tilde_candidates(self, monkeypatch):
+        # seed 9 of the tilde build: 124 chains before candidates were
+        # rejected by orbit lengths, 18 after
+        group, scalar = _gamma_l3_4()
+        predicate = SubgroupPredicate(order=2160, contains=PermutationGroup([scalar]))
+        built = []
+
+        class Counting(StabilizerChain):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(perm_module, "StabilizerChain", Counting)
+        found = subgroup_search(group, predicate, seed=9)
+        assert found is not None and found.order() == 2160
+        assert len(built) <= 30
+
+
+_gamma_l3_4 = lru_cache(maxsize=None)(gamma_l3_4)
+
+
+_SEARCH_AMBIENTS = [
+    lambda: (PermutationGroup.symmetric(5), None),
+    lambda: (PermutationGroup.symmetric(6), None),
+    _gamma_l3_4,
+]
+
+
+def _unfiltered_search(group, predicate, seed, max_trials):
+    """Generators of the first pair subgroup_search would accept if it built
+    a chain for every pair of admissible element orders, or None."""
+    required = list(predicate.contains.generators) if predicate.contains else []
+    allowed = predicate.admissible_element_orders()
+    rng = Random(seed)
+    chain = group.chain()
+    for _ in range(max_trials):
+        a = chain.sample(rng)
+        if a.order() not in allowed:
+            continue
+        b = chain.sample(rng)
+        if b.order() not in allowed:
+            continue
+        gens = required + [a, b]
+        sub_chain = StabilizerChain(group.degree, gens, seed=1, order_limit=predicate.order)
+        if not sub_chain.aborted and sub_chain.order() == predicate.order:
+            return gens
+    return None
 
 
 class TestRandomElements:
