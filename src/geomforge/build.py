@@ -31,6 +31,7 @@ from .perm import (
     Permutation,
     PermutationGroup,
     SubgroupPredicate,
+    _closure,
     induced_action,
     subgroup_search,
 )
@@ -326,15 +327,10 @@ def subgroup_pattern_geometry(pattern: SubgroupPatternInput) -> Geometry:
     elements = []
     for d in range(1, dim_e + 1):
         # the d-subspaces of E as points, closed under the generators
-        orbit = {tuple(v - 1 for v in s) for s in _subspaces(e_vectors, d)}
-        queue = list(orbit)
-        while queue:
-            sub = queue.pop()
-            for g in group.generators:
-                img = _apply_points(g, sub)
-                if img not in orbit:
-                    orbit.add(img)
-                    queue.append(img)
+        orbit = _closure(
+            (tuple(v - 1 for v in s) for s in _subspaces(e_vectors, d)),
+            lambda sub: [_apply_points(g, sub) for g in group.generators],
+        )
         elements.extend((s, d) for s in sorted(orbit))
     return Geometry(dim_e, elements, _containment_incidences([s for s, _ in elements]))
 
@@ -419,21 +415,14 @@ def tilde_geometry(seed: int) -> ConstructionMetadata:
     # normalizer inducing GL2(2) on E
     two_subspaces = [tuple(v - 1 for v in s) for s in _subspaces(range(1, 64), 2)]
     sub_action = induced_action(group, two_subspaces, _apply_points)
-    passing: list[tuple[tuple[int, ...], list]] = []
-    seen: set = set()
-    for sub in two_subspaces:
-        if sub in seen:
-            continue
-        orb = sub_action.orbit(sub)
-        seen.update(orb)
-        if len(orb) != 45:
-            continue
-        rep = orb[0]
-        if normalizer_induces_full_linear_group(group, rep):
-            passing.append((rep, orb))
+    passing = [
+        orb[0]
+        for orb in sub_action.orbits()
+        if len(orb) == 45 and normalizer_induces_full_linear_group(group, orb[0])
+    ]
     if not passing:
         raise ConstructionError("no 2-subspace orbit satisfies the preconditions")
-    e_points, _ = passing[0]
+    e_points = passing[0]
 
     pattern = SubgroupPatternInput(group=group, dim_h=6, subspace_points=e_points)
     geometry = subgroup_pattern_geometry(pattern)

@@ -17,7 +17,7 @@ from itertools import combinations, groupby
 from typing import Iterable, Optional, Sequence
 
 from .graphs import Graph, graph_isomorphism
-from .perm import GroupAction, PermutationGroup, label_key
+from .perm import GroupAction, PermutationGroup, _closure, label_key
 
 __all__ = [
     "Geometry",
@@ -264,50 +264,32 @@ class GeometryVerdict:
 def is_geometry(candidate: Geometry) -> GeometryVerdict:
     """Check the two geometry axioms: every maximal flag meets all types, and
     every residue of rank at least 2 (including the whole system) is
-    connected.  Diagnostics name the first failing flag or residue."""
-    failures: list[str] = []
+    connected.  One walk over the flags that miss a type checks both; a
+    flag that misses a type ends it and is reported alone, otherwise the
+    first disconnected residue is."""
+    rank = candidate.rank
+    missing: list[str] = []
+    disconnected: list[str] = []
 
-    def check_flags(flag, cands):
-        if len(flag) < candidate.rank and not cands:
-            failures.append(
-                f"maximal flag {[_id_to_str(e) for e in flag]} misses some type"
-            )
+    def visit(flag, cands):
+        if len(flag) < rank and not cands:
+            missing.append(f"maximal flag {[_id_to_str(e) for e in flag]} misses some type")
             return True
+        if not disconnected and len(flag) <= rank - 2 and not _subset_connected(candidate, cands):
+            disconnected.append(f"residue of flag {[_id_to_str(e) for e in flag]} is disconnected")
         return None
 
-    def check_connectivity(flag, cands):
-        if len(flag) <= candidate.rank - 2:
-            if not _subset_connected(candidate, cands):
-                failures.append(
-                    f"residue of flag {[_id_to_str(e) for e in flag]} is disconnected"
-                )
-                return True
-            return None
-        return "prune"
-
-    candidate.walk_flags(check_flags)
-    if not failures:
-        candidate.walk_flags(check_connectivity, max_size=max(candidate.rank - 2, 0))
+    candidate.walk_flags(visit, max_size=rank - 1)
+    failures = missing or disconnected
     return GeometryVerdict(not failures, failures)
 
 
-def _subset_connected(g: Geometry, subset) -> bool:
+def _subset_connected(g: Geometry, subset: frozenset) -> bool:
     """Connectivity of the incidence graph induced on a subset."""
     if not subset:
         return True
-    subset = set(subset)
-    start = next(iter(subset))
-    seen = {start}
-    queue = [start]
-    while queue:
-        nxt = []
-        for e in queue:
-            for f in g._adj[e] & subset:
-                if f not in seen:
-                    seen.add(f)
-                    nxt.append(f)
-        queue = nxt
-    return len(seen) == len(subset)
+    adj = g._adj
+    return len(_closure([next(iter(subset))], lambda e: adj[e] & subset)) == len(subset)
 
 
 # ---------------------------------------------------------------------------
@@ -428,28 +410,12 @@ def is_flag_transitive(g: Geometry, action: GroupAction) -> bool:
     flags = g.maximal_flags()
     if not flags:
         return False
-    order = g._order
-    index = action.index
+    # flags list their elements in type order, and the action preserves
+    # types, so a flag's image is again in type order
     images = action.images
-    domain = action.domain
-
-    def canon(flag) -> tuple:
-        return tuple(sorted(flag, key=order.get))
-
-    start = canon(flags[0])
-    seen = {start}
-    queue = [start]
-    while queue:
-        nxt = []
-        for flag in queue:
-            idxs = [index[e] for e in flag]
-            for img in images:
-                moved = canon(domain[img[i]] for i in idxs)
-                if moved not in seen:
-                    seen.add(moved)
-                    nxt.append(moved)
-        queue = nxt
-    return len(seen) == len(flags)
+    start = tuple(action.index[e] for e in flags[0])
+    orbit = _closure([start], lambda flag: [tuple([img[i] for i in flag]) for img in images])
+    return len(orbit) == len(flags)
 
 
 # ---------------------------------------------------------------------------
@@ -615,16 +581,9 @@ def quotient_by_action(g: Geometry, action: GroupAction) -> tuple[Geometry, Geom
     containing incident representatives.  The caller must run is_geometry on
     the result (quotients can degenerate)."""
     _check_action(g, action)
-    orbit_of: dict = {}
-    orbit_ids: list[tuple] = []
-    for e in g.elements:
-        if e in orbit_of:
-            continue
-        orb = tuple(action.orbit(e))
-        for x in orb:
-            orbit_of[x] = orb
-        orbit_ids.append(orb)
-    elements = [(orb, g.type_of[orb[0]]) for orb in orbit_ids]
+    orbits = [tuple(orb) for orb in action.orbits()]
+    orbit_of = {x: orb for orb in orbits for x in orb}
+    elements = [(orb, g.type_of[orb[0]]) for orb in orbits]
     incidences = set()
     for a, b in g.incidence_pairs():
         oa, ob = orbit_of[a], orbit_of[b]

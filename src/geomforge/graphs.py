@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .perm import label_key
+from .perm import _closure, label_key
 
 __all__ = [
     "Graph",
@@ -66,17 +66,7 @@ class Graph:
         return len(self.component(self.vertices[0])) == self.n
 
     def component(self, start) -> list:
-        seen = {start}
-        queue = [start]
-        while queue:
-            nxt = []
-            for v in queue:
-                for w in self._adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            queue = nxt
-        return sorted(seen, key=label_key)
+        return sorted(_closure([start], self._adj.__getitem__), key=label_key)
 
     def distances(self, start) -> dict:
         dist = {start: 0}
@@ -120,12 +110,6 @@ class Graph:
                     if c in self._adj[a]:
                         out.append((a, b, c))
         return out
-
-    def relabel(self, mapping: dict) -> "Graph":
-        return Graph(
-            (mapping[v] for v in self.vertices),
-            ((mapping[a], mapping[b]) for a, b in self.edges()),
-        )
 
     def __repr__(self) -> str:
         return f"Graph({self.n} vertices, {self.num_edges} edges)"

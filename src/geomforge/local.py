@@ -16,6 +16,7 @@ from .perm import (
     GroupAction,
     PermutationGroup,
     StabilizerChain,
+    _closure,
     induced_action,
     label_key,
 )
@@ -150,15 +151,14 @@ def condition_star(
     meta: ConstructionMetadata, series: Optional[KernelSeriesReport] = None
 ) -> bool:
     """The kernel on the radius-(rank - 1) ball has order at most 2; by
-    flag-transitivity one vertex decides for all.  A ``series`` already
-    computed for that vertex up to that radius is read instead of
-    recomputed."""
+    flag-transitivity one vertex decides for all.  So a ``series`` already
+    computed up to that radius is read instead of recomputed, whatever its
+    vertex; without one, the first derived-graph vertex is used."""
     g = meta.geometry
     if g.rank < 2:
         raise GeometryError("condition (*) requires rank at least 2")
-    vertex = derived_graph(g).vertices[0]
-    if series is None or series.vertex != vertex or len(series.orders) < g.rank:
-        series = kernel_series(meta, vertex, g.rank - 1)
+    if series is None or len(series.orders) < g.rank:
+        series = kernel_series(meta, derived_graph(g).vertices[0], g.rank - 1)
     return series.orders[g.rank - 1] <= 2
 
 
@@ -206,19 +206,14 @@ def hypothesis_61_check(graph: Graph, action: GroupAction) -> Hypothesis61Report
     image = action.image_group()
     vertex_transitive = len(action.orbit(graph.vertices[0])) == graph.n
 
-    edges = [tuple(sorted(e, key=label_key)) for e in graph.edges()]
-    edge_action = induced_action(
-        image,
-        edges,
-        lambda p, e: tuple(
-            sorted(
-                (action.domain[p.images[action.index[e[0]]]],
-                 action.domain[p.images[action.index[e[1]]]]),
-                key=label_key,
-            )
-        ),
-    )
-    edge_transitive = bool(edges) and len(edge_action.orbit(edges[0])) == len(edges)
+    edges = graph.edges()
+    edge_transitive = False
+    if edges:
+        # _check_graph_action has checked that the generators preserve edges
+        images = action.images
+        start = frozenset(action.index[v] for v in edges[0])
+        orbit = _closure([start], lambda e: [frozenset([img[i] for i in e]) for img in images])
+        edge_transitive = len(orbit) == len(edges)
 
     x = graph.vertices[0]
     stabilizer = image.stabilizer([action.index[x]], mode="pointwise")
@@ -263,14 +258,12 @@ def _check_graph_action(graph: Graph, action: GroupAction) -> None:
 
 
 def _is_doubly_transitive(group: PermutationGroup, degree: int) -> bool:
-    """Orbit count on ordered distinct pairs equals one."""
+    """The ordered pairs of distinct points form one orbit."""
     if degree < 2:
         return False
-    pairs = [(i, j) for i in range(degree) for j in range(degree) if i != j]
-    action = induced_action(
-        group, pairs, lambda p, pair: (p.images[pair[0]], p.images[pair[1]])
-    )
-    return len(action.orbit(pairs[0])) == len(pairs)
+    images = [g.images for g in group.generators]
+    orbit = _closure([(0, 1)], lambda pair: [(img[pair[0]], img[pair[1]]) for img in images])
+    return len(orbit) == degree * (degree - 1)
 
 
 def _has_regular_normal_subgroup(group: PermutationGroup, degree: int) -> bool:

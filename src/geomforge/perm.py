@@ -67,6 +67,39 @@ def _identity_images(degree: int) -> tuple[int, ...]:
     return tuple(range(degree))
 
 
+def _closure(seeds: Iterable, step: Callable[[object], Iterable]) -> list:
+    """The seeds without repeats, then every item reachable from them by
+    ``step`` in breadth-first discovery order: the orbit algorithm of
+    Seress, *Permutation Group Algorithms* (2003), section 2.1, for any
+    action given by generator images."""
+    out = list(dict.fromkeys(seeds))
+    seen = set(out)
+    for x in out:  # grows while it is scanned
+        for y in step(x):
+            if y not in seen:
+                seen.add(y)
+                out.append(y)
+    return out
+
+
+def _image_step(images: Sequence[Sequence[int]]) -> Callable[[int], list[int]]:
+    """A ``_closure`` step: the images of a point under each image tuple."""
+    return lambda p: [img[p] for img in images]
+
+
+def _orbit_partition(size: int, images: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The orbits of the image tuples on 0..size-1, ordered by least point."""
+    step = _image_step(images)
+    seen: set[int] = set()
+    out = []
+    for p in range(size):
+        if p not in seen:
+            orbit = _closure([p], step)
+            seen.update(orbit)
+            out.append(orbit)
+    return out
+
+
 def _as_point(x) -> int:
     """``x`` as an int; bools, floats and other non-integers raise ValueError."""
     if isinstance(x, bool):
@@ -280,7 +313,10 @@ class StabilizerChain:
         """Reduce g through the chain; returns (residue, failing level)."""
         for i in range(start, len(self.levels)):
             level = self.levels[i]
-            inv = level.inverses.get(g.images[level.base])
+            q = g.images[level.base]
+            if q == level.base:
+                continue  # u_q is the identity
+            inv = level.inverses.get(q)
             if inv is None:
                 return g, i
             g = g * inv
@@ -366,9 +402,6 @@ class StabilizerChain:
     def contains(self, g: Permutation) -> bool:
         residue, _ = self._sift(g)
         return residue.is_identity()
-
-    def base(self) -> list[int]:
-        return [level.base for level in self.levels]
 
     def stabilizer_generators(self, fixed: int) -> list[Permutation]:
         """Generators of the subgroup fixing the first ``fixed`` base-prefix
@@ -508,34 +541,15 @@ class PermutationGroup:
             raise CapacityError(
                 f"group of order {self.order()} exceeds enumeration bound {bound}"
             )
-        seen = {Permutation.identity(self.degree)}
-        queue = [Permutation.identity(self.degree)]
-        while queue:
-            nxt = []
-            for p in queue:
-                for g in self.generators:
-                    q = p * g
-                    if q not in seen:
-                        seen.add(q)
-                        nxt.append(q)
-            queue = nxt
-        return sorted(seen, key=lambda p: p.images)
+        gens = self.generators
+        found = _closure([Permutation.identity(self.degree)], lambda p: [p * g for g in gens])
+        return sorted(found, key=lambda p: p.images)
 
     def point_orbit(self, point: int) -> list[int]:
         if not 0 <= point < self.degree:
             raise DomainError(f"point {point} outside degree {self.degree}")
-        seen = {point}
-        queue = [point]
-        while queue:
-            nxt = []
-            for p in queue:
-                for g in self.generators:
-                    q = g.images[p]
-                    if q not in seen:
-                        seen.add(q)
-                        nxt.append(q)
-            queue = nxt
-        return sorted(seen)
+        step = _image_step([g.images for g in self.generators])
+        return sorted(_closure([point], step))
 
     def stabilizer(self, points: Sequence[int], mode: str = "pointwise") -> "PermutationGroup":
         """Setwise or pointwise stabilizer of a point sequence."""
@@ -735,28 +749,15 @@ class GroupAction:
     def orbit(self, seed) -> list:
         if seed not in self.index:
             raise DomainError(f"seed {seed!r} not in action domain")
-        seen = {self.index[seed]}
-        queue = [self.index[seed]]
-        while queue:
-            nxt = []
-            for i in queue:
-                for img in self.images:
-                    j = img[i]
-                    if j not in seen:
-                        seen.add(j)
-                        nxt.append(j)
-            queue = nxt
-        return sorted((self.domain[i] for i in seen), key=label_key)
+        found = _closure([self.index[seed]], _image_step(self.images))
+        return sorted((self.domain[i] for i in found), key=label_key)
 
     def orbits(self) -> list[list]:
-        remaining = set(range(len(self.domain)))
-        out = []
-        while remaining:
-            i = min(remaining)
-            orb = self.orbit(self.domain[i])
-            out.append(orb)
-            remaining -= {self.index[x] for x in orb}
-        return out
+        """Every orbit as a sorted label list, ordered by least label."""
+        return [
+            sorted((self.domain[i] for i in orb), key=label_key)
+            for orb in _orbit_partition(len(self.domain), self.images)
+        ]
 
     def image_group(self) -> PermutationGroup:
         """The permutation group induced on the domain (the action image)."""
@@ -859,7 +860,8 @@ def subgroup_search(
         if b.order() not in allowed:
             continue
         gens = required + [a, b]
-        if any(predicate.order % n for n in _orbit_lengths(group.degree, gens)):
+        orbits = _orbit_partition(group.degree, [g.images for g in gens])
+        if any(predicate.order % len(orb) for orb in orbits):
             continue
         sub_chain = StabilizerChain(
             group.degree, gens, seed=1, order_limit=predicate.order
@@ -873,26 +875,6 @@ def subgroup_search(
         return candidate
     return None
 
-
-def _orbit_lengths(degree: int, gens: Sequence[Permutation]) -> list[int]:
-    """Lengths of the orbits of <gens> on 0..degree-1."""
-    unseen = set(range(degree))
-    lengths = []
-    while unseen:
-        queue = [unseen.pop()]
-        size = 1
-        while queue:
-            nxt = []
-            for p in queue:
-                for g in gens:
-                    q = g.images[p]
-                    if q in unseen:
-                        unseen.remove(q)
-                        nxt.append(q)
-            size += len(nxt)
-            queue = nxt
-        lengths.append(size)
-    return lengths
 
 
 # ---------------------------------------------------------------------------

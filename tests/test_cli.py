@@ -226,6 +226,24 @@ class TestCommands:
             "status": "ok",
         }
 
+    def test_local_kernels_computes_one_series(self, capsys, monkeypatch):
+        # condition (*) reads the series of --vertex instead of computing
+        # one for the first vertex: the builtins are flag-transitive
+        from geomforge import local
+
+        calls = []
+        kernel_series = local.kernel_series
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return kernel_series(*args, **kwargs)
+
+        monkeypatch.setattr(local, "kernel_series", counting)
+        code, _ = run_cli(
+            capsys, "local", "kernels", "--builtin", "tilde", "--seed", "9", "--vertex", "5"
+        )
+        assert code == 0 and len(calls) == 1
+
     def test_local_kernels_negative_smax(self, capsys):
         code, report = run_cli(
             capsys, "local", "kernels", "--builtin", "tilde", "--seed", "9", "--smax", "-1"

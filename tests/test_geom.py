@@ -160,10 +160,12 @@ class TestIsGeometry:
         assert is_geometry(p0.geometry).ok
 
     def test_isolated_element_fails_maximal_flag(self):
-        g = Geometry(2, [("a", 1), ("b", 2), ("c", 1)], [("a", "b")])
+        # the whole system is disconnected too, but the first flag that
+        # misses a type is reported alone
+        g = Geometry(2, [("a", 1), ("b", 2), ("c", 1), ("d", 2)], [("a", "b")])
         verdict = is_geometry(g)
         assert not verdict.ok
-        assert "misses some type" in verdict.failures[0]
+        assert verdict.failures == ["maximal flag ['c'] misses some type"]
 
     def test_disjoint_union_fails_connectedness(self, p0):
         base = p0.geometry
@@ -174,7 +176,7 @@ class TestIsGeometry:
         doubled = Geometry(2, elements, incidences)
         verdict = is_geometry(doubled)
         assert not verdict.ok
-        assert "disconnected" in verdict.failures[0]
+        assert verdict.failures == ["residue of flag [] is disconnected"]
 
 
 class TestResidue:

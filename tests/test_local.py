@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from geomforge import build, local
 from geomforge.geom import GeometryError, derived_graph, residue
 from geomforge.graphs import Graph, girth, graph_isomorphism, petersen_graph
-from geomforge.perm import PermutationGroup, induced_action
+from geomforge.perm import Permutation, PermutationGroup, induced_action, label_key
 from oracles import bfs_girth
 
 
@@ -123,6 +123,22 @@ class TestKernelSeries:
             ]
             assert local.kernel_series(meta, vertex, 3).orders == expected
 
+    def test_sifting_skips_levels_that_fix_their_base(self, monkeypatch):
+        # most levels of a chain based on the ball fix their base point;
+        # multiplying by the identity u_q at each of them makes 5,858 products
+        meta = _kernel_builds()["tilde9"]
+        vertex = meta.geometry.elements_of_type(2)[0]
+        products = []
+        mul = Permutation.__mul__
+
+        def counting(p, q):
+            products.append(1)
+            return mul(p, q)
+
+        monkeypatch.setattr(Permutation, "__mul__", counting)
+        assert local.kernel_series(meta, vertex, 2).orders == [48, 2, 1]
+        assert len(products) <= 3000
+
 
 @lru_cache(maxsize=None)
 def _kernel_builds():
@@ -197,6 +213,105 @@ class TestGirth:
         graph = Graph(range(len(parents)), edges)
         adjacency = {v: graph.neighbors(v) for v in graph.vertices}
         assert girth(graph) == bfs_girth(adjacency) == float("inf")
+
+
+def _cycle(n):
+    return Permutation([(i + 1) % n for i in range(n)])
+
+
+def _reflection(n):
+    return Permutation([-i % n for i in range(n)])
+
+
+_PAIR_GROUPS = {
+    "S2": lambda: PermutationGroup.symmetric(2),
+    "trivial-2": lambda: PermutationGroup.trivial(2),
+    "S4": lambda: PermutationGroup.symmetric(4),
+    "S5": lambda: PermutationGroup.symmetric(5),
+    "A4": lambda: PermutationGroup.alternating(4),
+    "A5": lambda: PermutationGroup.alternating(5),
+    "D5": lambda: PermutationGroup([_cycle(5), _reflection(5)]),
+    "D6": lambda: PermutationGroup([_cycle(6), _reflection(6)]),
+    "C7": lambda: PermutationGroup([_cycle(7)]),
+    "intransitive": lambda: PermutationGroup(
+        [Permutation.from_cycles(5, [(0, 1)]), Permutation.from_cycles(5, [(2, 3, 4)])]
+    ),
+}
+
+
+def _old_is_doubly_transitive(group, degree):
+    """Reference: one orbit of the induced action on all ordered pairs."""
+    if degree < 2:
+        return False
+    pairs = [(i, j) for i in range(degree) for j in range(degree) if i != j]
+    action = induced_action(group, pairs, lambda p, pair: (p.images[pair[0]], p.images[pair[1]]))
+    return len(action.orbit(pairs[0])) == len(pairs)
+
+
+def _old_edge_transitive(graph, action):
+    """Reference: one orbit of the induced action on all edges."""
+    edges = [tuple(sorted(e, key=label_key)) for e in graph.edges()]
+
+    def move(p, e):
+        ends = (action.domain[p.images[action.index[v]]] for v in e)
+        return tuple(sorted(ends, key=label_key))
+
+    edge_action = induced_action(action.image_group(), edges, move)
+    return bool(edges) and len(edge_action.orbit(edges[0])) == len(edges)
+
+
+def _natural(group):
+    return induced_action(group, range(group.degree), lambda g, v: g.images[v])
+
+
+_EDGE_CASES = {
+    "K2-S2": (Graph(range(2), [(0, 1)]), "S2"),
+    "K4-S4": (Graph(range(4), list(combinations(range(4), 2))), "S4"),
+    "K4-A4": (Graph(range(4), list(combinations(range(4), 2))), "A4"),
+    "K5-A5": (Graph(range(5), list(combinations(range(5), 2))), "A5"),
+    "C5-D5": (Graph(range(5), [(i, (i + 1) % 5) for i in range(5)]), "D5"),
+    "C6-D6": (Graph(range(6), [(i, (i + 1) % 6) for i in range(6)]), "D6"),
+    "C7-C7": (Graph(range(7), [(i, (i + 1) % 7) for i in range(7)]), "C7"),
+    "K2+K3-intransitive": (Graph(range(5), [(0, 1), (2, 3), (3, 4), (2, 4)]), "intransitive"),
+    "edgeless-S4": (Graph(range(4), []), "S4"),
+}
+
+
+class TestOrbitVerdicts:
+    @pytest.mark.parametrize("name", sorted(_PAIR_GROUPS))
+    def test_doubly_transitive_matches_pair_action(self, name):
+        group = _PAIR_GROUPS[name]()
+        expected = _old_is_doubly_transitive(group, group.degree)
+        assert local._is_doubly_transitive(group, group.degree) == expected
+
+    def test_doubly_transitive_verdicts(self):
+        verdicts = {
+            name: local._is_doubly_transitive(make(), make().degree)
+            for name, make in _PAIR_GROUPS.items()
+        }
+        assert sorted(name for name, ok in verdicts.items() if ok) == [
+            "A4", "A5", "S2", "S4", "S5",
+        ]
+
+    @pytest.mark.parametrize("name", sorted(_EDGE_CASES))
+    def test_edge_transitive_matches_edge_action(self, name):
+        graph, group_name = _EDGE_CASES[name]
+        action = _natural(_PAIR_GROUPS[group_name]())
+        report = local.hypothesis_61_check(graph, action)
+        assert report.edge_transitive == _old_edge_transitive(graph, action)
+        assert report.edge_transitive == (
+            name not in ("K2+K3-intransitive", "edgeless-S4")
+        )
+
+    def test_petersen_edges_match_edge_action(self):
+        graph = petersen_graph()
+        action = induced_action(
+            PermutationGroup.symmetric(5),
+            graph.vertices,
+            lambda g, v: tuple(sorted(g.images[x] for x in v)),
+        )
+        assert local.hypothesis_61_check(graph, action).edge_transitive
+        assert _old_edge_transitive(graph, action)
 
 
 class TestHypothesis61:

@@ -22,6 +22,7 @@ from geomforge.perm import (
     PermutationGroup,
     StabilizerChain,
     SubgroupPredicate,
+    _closure,
     group_from_json,
     group_to_json,
     induced_action,
@@ -524,6 +525,21 @@ class TestProperties:
         payload["expected_order"] += off
         with pytest.raises(ValueError):
             group_from_json(payload)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.lists(st.permutations(range(n)), max_size=3),
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=5),
+    )))
+    def test_closure_matches_exhaustive_orbit(self, case):
+        gens, seeds = case
+        seeds = seeds + seeds[::-1]  # every seed repeats
+        found = _closure(seeds, lambda x: [g[x] for g in gens])
+        maps = [lambda x, g=g: g[x] for g in gens]
+        assert set(found) == set().union(*(exhaustive_orbit(s, maps) for s in seeds))
+        firsts = [s for i, s in enumerate(seeds) if s not in seeds[:i]]
+        assert found[:len(firsts)] == firsts
+        assert len(found) == len(set(found))
 
     @settings(max_examples=60, deadline=None)
     @given(_generating_sets(), st.data())
