@@ -249,7 +249,7 @@ def _cmd_bench(args):
         if size <= 0:
             raise ValueError("sizes must be positive")
         dense = rng.integers(0, 2, size=(size, size), dtype=np.uint8)
-        matrix = gf2.MatrixGFp.from_rows(2, dense.tolist())
+        matrix = gf2.MatrixGFp.from_rows(2, dense)
         started = time.monotonic()
         rank = matrix.rank()
         elapsed = time.monotonic() - started

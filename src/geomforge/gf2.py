@@ -10,9 +10,12 @@ packs with ``np.packbits(..., bitorder="little")`` for GF(2) and keeps the
 bytes for GF(3); ``_dense`` undoes it.  Construction, transposition, products,
 nullspaces, solving and the text format are then written once for both
 primes on dense arrays.  Only the bridge, ``get`` and ``rref`` are per prime:
-the two elimination kernels work on the payload itself, GF(2) word-parallel,
-with column pivoting in natural order so that echelon forms are
-deterministic.
+the two elimination kernels work on the payload itself.  GF(3) clears one
+pivot column at a time.  GF(2) works in blocks of 8 columns, each inside one
+64-bit word, and clears a block's pivot columns in every row with one gather
+from a Four-Russians table.  Which rows it picks to build a table does not
+change the result: the reduced row echelon form is unique, so the payload
+and the pivot columns, in natural order, depend on the matrix alone.
 
 The module also holds the GF(2)-subspace helpers on integer bit masks
 (``_basis_of``, ``_span``, ``_subspaces``, ``_subspace_dim``) that the
@@ -42,6 +45,11 @@ class ShapeError(ValueError):
 
 
 _ONE = np.uint64(1)
+_PACK_ENTRIES = 1 << 18  # entries per int64 block in ``from_rows``
+_BLOCK = 8  # GF(2) columns cleared per table gather; divides 64, so a block sits in one word
+_LOW = (1 << _BLOCK) - 1
+# [q, v]: bit q of the block value v
+_BIT_ROWS = np.array([[v >> q & 1 for v in range(1 << _BLOCK)] for q in range(_BLOCK)])
 
 
 class MatrixGFp:
@@ -88,16 +96,25 @@ class MatrixGFp:
 
     @classmethod
     def from_rows(cls, prime: int, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "MatrixGFp":
+        """Matrix from equal-length rows of integers (nested sequences or a
+        2-D array), reduced mod prime.  Rows are converted in blocks of about
+        ``_PACK_ENTRIES`` entries, which bounds the int64 copy."""
         if cols is None:
             cols = len(rows[0]) if len(rows) else 0
-        dense = np.zeros((len(rows), cols), dtype=np.uint8)
-        try:
-            for i, row in enumerate(rows):
-                if len(row) != cols:
-                    raise ShapeError("ragged row lengths")
-                dense[i] = np.asarray(row, dtype=np.int64) % prime
-        except OverflowError as exc:
-            raise ValueError(f"value outside the 64-bit integer range: {exc}") from exc
+        if any(len(row) != cols for row in rows):
+            raise ShapeError("ragged row lengths")
+        dense = np.empty((len(rows), cols), dtype=np.uint8)
+        step = max(1, _PACK_ENTRIES // max(cols, 1))
+        for start in range(0, len(rows), step):
+            try:
+                block = np.array(rows[start : start + step], dtype=np.int64)
+            except OverflowError as exc:
+                raise ValueError(f"value outside the 64-bit integer range: {exc}") from exc
+            except ValueError as exc:  # entries that are sequences of unequal lengths
+                raise ShapeError(f"rows do not form a {len(rows)}x{cols} matrix: {exc}") from exc
+            if block.ndim != 2:
+                raise ShapeError(f"rows do not form a {len(rows)}x{cols} matrix: entries are sequences")
+            dense[start : start + step] = block % prime
         return cls._from_dense(prime, dense)
 
     @classmethod
@@ -120,6 +137,8 @@ class MatrixGFp:
     # -- element access -------------------------------------------------------
 
     def get(self, r: int, c: int) -> int:
+        if not (0 <= r < self.rows and 0 <= c < self.cols):
+            raise IndexError(f"entry ({r},{c}) outside {self.rows}x{self.cols}")
         if self.prime == 2:
             return int((self._payload[r, c >> 6] >> np.uint64(c & 63)) & _ONE)
         return int(self._payload[r, c])
@@ -194,27 +213,80 @@ class MatrixGFp:
 
 
 def _rref2_inplace(work: np.ndarray, rows: int, cols: int) -> list[int]:
+    """Four-Russians Gauss-Jordan elimination (Albrecht, Bard and Hart, ACM
+    TOMS 36(3), 2010), one block of ``_BLOCK`` columns at a time.
+
+    Rows r.. are zero left of the block.  ``_block_basis`` picks k of them
+    whose block values span those of all rows r..; the leading bits of the
+    span's reduced echelon basis are the block's pivot columns.  One gather
+    from the table of all XOR combinations of the picked rows then clears
+    the pivot columns in every row, which zeroes rows r.. inside the block,
+    and the reduced pivot rows take places r..r+k-1.  Only rows with a bit
+    set in a pivot column are touched, so sparse matrices stay cheap."""
     pivots: list[int] = []
     r = 0
-    for c in range(cols):
+    for start in range(0, cols, _BLOCK):
         if r >= rows:
             break
-        w, b = c >> 6, np.uint64(c & 63)
-        mask = _ONE << b
-        col = work[r:, w] & mask
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
+        w = start >> 6
+        bits = (work[:, w] >> np.uint64(start & 63)).astype(np.uint8)
+        picked, basis = _block_basis(bits, r, min(_BLOCK, cols - start, rows - r))
+        if not picked:
             continue
-        p = r + int(nz[0])
-        if p != r:
-            work[[r, p]] = work[[p, r]]
-        hits = np.nonzero(work[:, w] & mask)[0]
-        hits = hits[hits != r]
-        if hits.size:
-            work[hits] ^= work[r]
-        pivots.append(c)
-        r += 1
+        k = len(picked)
+        table = np.zeros((1 << k, work.shape[1] - w), dtype=np.uint64)
+        for j, row in enumerate(picked):
+            np.bitwise_xor(table[: 1 << j], work[row, w:], out=table[1 << j : 2 << j])
+        leads = sorted(basis)
+        masks = np.array([basis[lead] >> _BLOCK for lead in leads])
+        # block value -> the combination that agrees with it on every lead
+        lookup = np.bitwise_xor.reduce(_BIT_ROWS[leads] * masks[:, None], axis=0)
+        reduced = table[masks]
+        index = lookup[bits]
+        hit = np.flatnonzero(index)  # rows with a bit set in a pivot column
+        work[hit, w:] ^= table[index[hit]]
+        # picked rows are zero now; rows displaced from r..r+k-1 fill them
+        holes = [row for row in picked if row >= r + k]
+        if holes:
+            work[holes] = work[[row for row in range(r, r + k) if row not in picked]]
+        work[r : r + k, w:] = reduced
+        pivots.extend(start + lead for lead in leads)
+        r += k
     return pivots
+
+
+def _block_basis(bits: np.ndarray, r: int, full: int) -> tuple[list[int], dict[int, int]]:
+    """Rows r.. whose block values span those of all rows r.., and the span's
+    reduced echelon basis: leading bit -> basis value, with the mask over the
+    picked rows that sum to it in the bits above ``_BLOCK``.  The search
+    stops once the span has dimension ``full``, the most it can have."""
+    basis: dict[int, int] = {}
+    picked: list[int] = []
+    for i, x in _candidates(bits, r):
+        for lead, b in basis.items():
+            if x >> lead & 1:
+                x ^= b
+        if not x & _LOW:
+            continue
+        x ^= 1 << (_BLOCK + len(picked))
+        picked.append(i)
+        lead = (x & -x).bit_length() - 1
+        for other, b in basis.items():
+            if b >> lead & 1:
+                basis[other] = b ^ x
+        basis[lead] = x
+        if len(picked) == full:
+            break
+    return picked, basis
+
+
+def _candidates(bits: np.ndarray, r: int):
+    """(row, block value) for rows r.., in row order: the next ``2 * _BLOCK``
+    rows, which span a dense block, then the first row of each distinct
+    value, computed only if the span is still short of full."""
+    yield from enumerate(bits[r : r + 2 * _BLOCK].tolist(), r)
+    first = np.sort(np.unique(bits[r:], return_index=True)[1]) + r
+    yield from zip(first.tolist(), bits[first].tolist())
 
 
 def _rref3_inplace(work: np.ndarray, rows: int, cols: int) -> list[int]:

@@ -6,6 +6,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 
 def naive_rank(rows, p):
     """Schoolbook Gaussian elimination over GF(p) on lists of ints."""
@@ -35,6 +37,34 @@ def naive_rank(rows, p):
         if r == len(rows):
             break
     return rank
+
+
+def rref2_by_column(work, rows, cols):
+    """Gauss-Jordan elimination over GF(2), one pivot column at a time, in
+    place on a bit-packed uint64 payload (bit j of word w is column 64w + j).
+    Returns the pivot columns.  Reference for the Four-Russians kernel
+    ``geomforge.gf2._rref2_inplace``: reduced echelon form is unique, so both
+    must leave the same payload."""
+    one = np.uint64(1)
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        w, mask = c >> 6, one << np.uint64(c & 63)
+        nz = np.nonzero(work[r:, w] & mask)[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            work[[r, p]] = work[[p, r]]
+        hits = np.nonzero(work[:, w] & mask)[0]
+        hits = hits[hits != r]
+        if hits.size:
+            work[hits] ^= work[r]
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
 def exhaustive_orbit(seed, generator_maps):

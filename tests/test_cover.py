@@ -2,6 +2,7 @@
 finite covers."""
 
 import json
+import string
 from itertools import combinations
 from random import Random
 
@@ -198,6 +199,27 @@ class TestComplexFiles:
         assert again.graph.vertices == complex_.graph.vertices
         assert again.graph.edges() == complex_.graph.edges()
         assert again.triangles == complex_.triangles
+
+
+@st.composite
+def _presentations(draw):
+    generators = tuple(draw(st.lists(st.sampled_from(string.ascii_lowercase), unique=True, max_size=6)))
+    letters = [sign * i for i in range(1, len(generators) + 1) for sign in (1, -1)]
+    word = st.lists(st.sampled_from(letters), max_size=8).map(tuple) if letters else st.just(())
+    words = st.lists(word, max_size=5).map(tuple)
+    return Presentation(generators, draw(words), draw(words))
+
+
+class TestPresentationFiles:
+    @settings(max_examples=80, deadline=None)
+    @given(_presentations())
+    def test_json_round_trip(self, pres):
+        payload = {
+            "generators": list(pres.generators),
+            "relators": [pres.word_to_string(w) for w in pres.relators],
+            "subgroup": [pres.word_to_string(w) for w in pres.subgroup],
+        }
+        assert Presentation.from_json(json.loads(json.dumps(payload))) == pres
 
 
 class TestPresentationParsing:

@@ -15,9 +15,10 @@ from geomforge.gf2 import (
     image_kernel,
     parse_matrix,
     solve,
+    _PACK_ENTRIES,
     _subspaces,
 )
-from oracles import naive_rank, naive_span, naive_subspaces, subspace_count
+from oracles import naive_rank, naive_span, naive_subspaces, rref2_by_column, subspace_count
 
 
 def petersen_incidence_rows():
@@ -206,6 +207,52 @@ class TestInputReduction:
             build()
 
 
+class TestElementAccess:
+    @pytest.mark.parametrize("prime", [2, 3])
+    def test_get_reads_every_entry(self, prime):
+        rows = [[1, 0, prime - 1], [0, 1, 1]]
+        m = MatrixGFp.from_rows(prime, rows)
+        assert [[m.get(r, c) for c in range(3)] for r in range(2)] == rows
+
+    @pytest.mark.parametrize("prime", [2, 3])
+    @pytest.mark.parametrize("r, c", [(0, 3), (0, 63), (0, 64), (0, -1), (-1, 0), (1, 0)])
+    def test_get_outside_the_matrix_raises(self, prime, r, c):
+        m = MatrixGFp.from_rows(prime, [[1, 1, 1]])
+        with pytest.raises(IndexError, match=rf"\({r},{c}\) outside 1x3"):
+            m.get(r, c)
+
+
+class TestFromRows:
+    @pytest.mark.parametrize("dtype, low, high", [(np.uint8, 0, 256), (np.int64, -300, 301)])
+    @pytest.mark.parametrize("prime", [2, 3])
+    def test_ndarray_input(self, prime, dtype, low, high):
+        dense = np.random.default_rng(4).integers(low, high, size=(9, 70)).astype(dtype)
+        assert MatrixGFp.from_rows(prime, dense).to_rows() == (dense.astype(np.int64) % prime).tolist()
+
+    def test_empty_ndarray_keeps_its_width(self):
+        m = MatrixGFp.from_rows(2, np.zeros((0, 5), dtype=np.uint8), cols=5)
+        assert (m.rows, m.cols, m.rank()) == (0, 5, 0)
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 0], [1]],
+        [[[1], [0]]],
+        [[1, [0, 1]]],
+        np.zeros((2, 2, 2), dtype=np.int64),
+    ], ids=["ragged", "nested", "nested-ragged", "3-d-array"])
+    def test_rows_that_are_not_a_matrix_rejected(self, rows):
+        with pytest.raises(ShapeError):
+            MatrixGFp.from_rows(2, rows)
+
+    def test_rows_converted_across_blocks(self):
+        # two rows per int64 block: five rows take three blocks
+        dense = np.random.default_rng(3).integers(-4, 5, size=(5, _PACK_ENTRIES // 2))
+        assert np.array_equal(MatrixGFp.from_rows(3, dense)._dense(), dense % 3)
+        rows = dense.tolist()
+        rows[4][7] = [1, 2]
+        with pytest.raises(ShapeError):
+            MatrixGFp.from_rows(3, rows)
+
+
 @st.composite
 def matrices(draw, max_rows=24):
     """(prime, rows) with widths 1..130, crossing the 64-bit word boundaries."""
@@ -228,7 +275,36 @@ def is_rref(rows):
     )
 
 
+@st.composite
+def gf2_eliminations(draw):
+    """Dense 0/1 arrays of up to 200 x 300, so that several 8-column blocks
+    and 64-bit words are crossed: random of some density or drawn from the
+    span of a few rows, with some rows and columns zeroed."""
+    rows = draw(st.one_of(st.integers(0, 7), st.integers(8, 200)))
+    cols = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.5, 0.1, 0.01]))
+    span = draw(st.one_of(st.none(), st.integers(0, 12)))
+    if span is None:
+        dense = rng.random((rows, cols)) < density
+    else:
+        dense = rng.integers(0, 2, size=(rows, span)) @ (rng.random((span, cols)) < density) % 2
+    zeroed = draw(st.sampled_from([0.0, 0.2]))
+    dense[rng.random(rows) < zeroed] = 0
+    dense[:, rng.random(cols) < zeroed] = 0
+    return dense.astype(np.uint8)
+
+
 class TestProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(gf2_eliminations())
+    def test_rref_matches_per_column_oracle(self, dense):
+        m = MatrixGFp.from_rows(2, dense, cols=dense.shape[1])
+        red, pivots = m.rref()
+        work = m._payload.copy()
+        assert pivots == rref2_by_column(work, *dense.shape)
+        assert np.array_equal(red._payload, work)
+
     @settings(max_examples=60, deadline=None)
     @given(matrices())
     def test_rank_matches_oracle(self, case):
@@ -308,3 +384,14 @@ class TestPerformance:
         elapsed = time.monotonic() - start
         assert rank >= 1990
         assert elapsed < 1.0, f"rank took {elapsed:.2f}s"
+
+    def test_rank_4000_under_two_seconds(self):
+        import time
+
+        rng = np.random.default_rng(99)
+        m = MatrixGFp.from_rows(2, rng.integers(0, 2, size=(4000, 4000), dtype=np.uint8))
+        start = time.monotonic()
+        rank = m.rank()
+        elapsed = time.monotonic() - start
+        assert rank >= 3990
+        assert elapsed < 2.0, f"rank took {elapsed:.2f}s"
