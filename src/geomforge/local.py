@@ -6,6 +6,7 @@ checker."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -201,12 +202,12 @@ def hypothesis_61_check(graph: Graph, action: GroupAction) -> Hypothesis61Report
     scope): the rank-4 Petersen-type geometry of M23 yields a derived graph
     whose local-action kernel is trivial, so the check fails exactly on the
     nontrivial-kernel clause there."""
-    _check_graph_action(graph, action)
+    edges = graph.edges()
+    _check_graph_action(graph, action, edges)
     g_value = girth(graph)
     image = action.image_group()
     vertex_transitive = len(action.orbit(graph.vertices[0])) == graph.n
 
-    edges = graph.edges()
     edge_transitive = False
     if edges:
         # _check_graph_action has checked that the generators preserve edges
@@ -216,7 +217,10 @@ def hypothesis_61_check(graph: Graph, action: GroupAction) -> Hypothesis61Report
         edge_transitive = len(orbit) == len(edges)
 
     x = graph.vertices[0]
-    stabilizer = image.stabilizer([action.index[x]], mode="pointwise")
+    # one chain with base point x: its levels from 1 on give G_x and its order
+    chain = StabilizerChain(image.degree, image.generators, base_prefix=[action.index[x]])
+    stabilizer_order = math.prod(len(level.inverses) for level in chain.levels[1:])
+    stabilizer = PermutationGroup(chain.stabilizer_generators(1), degree=image.degree)
     neighbors = [action.index[v] for v in graph.neighbors(x)]
     local = induced_action(stabilizer, neighbors, lambda p, v: p.images[v])
     local_image = local.image_group()
@@ -224,7 +228,7 @@ def hypothesis_61_check(graph: Graph, action: GroupAction) -> Hypothesis61Report
     degree = len(neighbors)
     doubly = _is_doubly_transitive(local_image, degree)
     regular_normal = _has_regular_normal_subgroup(local_image, degree)
-    kernel_order = stabilizer.order() // local_order
+    kernel_order = stabilizer_order // local_order
 
     checks = [
         ("girth", g_value == 5),
@@ -249,10 +253,10 @@ def hypothesis_61_check(graph: Graph, action: GroupAction) -> Hypothesis61Report
     )
 
 
-def _check_graph_action(graph: Graph, action: GroupAction) -> None:
+def _check_graph_action(graph: Graph, action: GroupAction, edges: list) -> None:
     if set(action.domain) != set(graph.vertices):
         raise GeometryError("action domain differs from the vertex set")
-    gi = action.first_generator_moving(graph.edges())
+    gi = action.first_generator_moving(edges)
     if gi is not None:
         raise GeometryError(f"generator {gi} is not a graph automorphism")
 
@@ -266,11 +270,59 @@ def _is_doubly_transitive(group: PermutationGroup, degree: int) -> bool:
     return len(orbit) == degree * (degree - 1)
 
 
+def _prime_power(n: int) -> Optional[tuple[int, int]]:
+    """(p, k) with n = p^k for a prime p, or None; n >= 2."""
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return (p, k) if n == 1 else None
+
+
 def _has_regular_normal_subgroup(group: PermutationGroup, degree: int) -> bool:
-    """A regular normal subgroup of a doubly transitive group is minimal
-    normal, so checking the minimal normal subgroups suffices; regularity
-    means transitive of order equal to the degree."""
-    for sub in group.minimal_normal_subgroups():
-        if sub.order() == degree and sub.is_transitive(degree):
+    """Whether some minimal normal subgroup of a group on 0..degree-1 is
+    regular (transitive of order ``degree``), decided without listing the
+    group.  Three facts decide it:
+
+    - a minimal normal subgroup N is T^m for a simple group T (Dixon and
+      Mortimer, *Permutation Groups*, 1996, Thm 4.3A);
+    - a nonabelian simple group has order at least 60 (A5) and, by
+      Burnside's p^a q^b theorem, not a prime power; so a regular N of
+      prime-power degree p^k is elementary abelian, and the group lies in
+      its holomorph AGL(k, p) (ibid., section 4.5), while one of any other
+      degree has order at least 60;
+    - a regular N holds exactly one element x sending 0 to 1, and by
+      minimality N is the normal closure of x.
+
+    So after the arithmetic filters one coset of the stabilizer of 0 is
+    scanned for that x."""
+    if degree < 2 or group.order() % degree or not group.is_transitive(degree):
+        return False
+    power = _prime_power(degree)
+    if power is None:
+        if degree < 60:
+            return False
+    else:
+        p, k = power
+        if degree * math.prod(degree - p**i for i in range(k)) % group.order():
+            return False
+    chain = StabilizerChain(degree, group.generators, base_prefix=[0])
+    u = chain.levels[0].inverses[1].inverse()  # sends 0 to 1
+    stabilizer = PermutationGroup(chain.stabilizer_generators(1), degree=degree)
+    for h in stabilizer.elements():
+        x = h * u
+        if any(x.images[i] == i for i in range(degree)):
+            continue
+        closure = group.normal_closure([x])
+        if (
+            closure.order() == degree
+            and closure.is_transitive(degree)
+            and all(
+                group.normal_closure([y]).order() == degree
+                for y in closure.elements()
+                if not y.is_identity()
+            )
+        ):
             return True
     return False

@@ -1,5 +1,5 @@
 """Permutation groups on {0..degree-1}: orbits, stabilizer chains, stabilizers,
-minimal normal subgroups, randomized subgroup search and induced actions.
+normal closures, randomized subgroup search and induced actions.
 
 Permutations act on the right: ``x ^ g = g.images[x]`` and ``(p * q)`` means
 "apply p first, then q".  All derived domains are kept in a canonical sorted
@@ -31,7 +31,6 @@ __all__ = [
     "save_group",
 ]
 
-NORMAL_ORDER_BOUND = 10**6
 ELEMENT_ENUMERATION_BOUND = 200_000
 
 
@@ -636,75 +635,9 @@ class PermutationGroup:
         n = self.degree if domain_size is None else domain_size
         return len(self.point_orbit(0)) == n if n > 0 else True
 
-    def minimal_normal_subgroups(self, bound: int = NORMAL_ORDER_BOUND) -> list["PermutationGroup"]:
-        """Normal closures of prime-order cyclic subgroups, minimal under
-        inclusion: one closure per conjugacy class of such subgroups.
-        Requires full element enumeration, hence the bound."""
-        if self.order() > bound:
-            raise CapacityError(
-                f"group order {self.order()} above normal-subgroup bound {bound}"
-            )
-        if self.order() == 1:
-            return []
-
-        def cyclic_key(x: Permutation, p: int) -> tuple:
-            return tuple(sorted((x ** k).images for k in range(1, p)))
-
-        cyclic_seeds: dict[tuple, Permutation] = {}
-        for g in self.elements(bound=bound):
-            if g.is_identity():
-                continue
-            o = g.order()
-            p = _smallest_prime_factor(o)
-            x = g ** (o // p)
-            cyclic_seeds.setdefault(cyclic_key(x, p), x)
-        conjugators = [(g.inverse(), g) for g in self.generators]
-        marked: set[tuple] = set()
-        closures: list[PermutationGroup] = []
-        seen_orders: dict[int, list[PermutationGroup]] = {}
-        for key, x in cyclic_seeds.items():
-            if key in marked:
-                continue
-            # conjugate seeds share x's normal closure: mark the whole class
-            marked.add(key)
-            p = x.order()
-            queue = [x]
-            while queue:
-                h = queue.pop()
-                for ginv, g in conjugators:
-                    conj = ginv * h * g
-                    conj_key = cyclic_key(conj, p)
-                    if conj_key not in marked:
-                        marked.add(conj_key)
-                        queue.append(conj)
-            closure = self.normal_closure([x])
-            order = closure.order()
-            if any(closure.is_subgroup_of(other) for other in seen_orders.get(order, [])):
-                continue
-            seen_orders.setdefault(order, []).append(closure)
-            closures.append(closure)
-        minimal = []
-        for n_sub in closures:
-            if any(
-                other.order() < n_sub.order() and other.is_subgroup_of(n_sub)
-                for other in closures
-            ):
-                continue
-            minimal.append(n_sub)
-        return sorted(minimal, key=lambda g: g.order())
-
     def __repr__(self) -> str:
         label = self.name or f"{len(self.generators)} gens"
         return f"PermutationGroup({label}, degree={self.degree})"
-
-
-def _smallest_prime_factor(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Independent naive implementations used as oracles by the test suite.
-These deliberately avoid the library's own code paths."""
+These deliberately avoid the library's own code paths, except the reference
+algorithms moved here from the library, whose docstrings say so."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+
+from geomforge.perm import Permutation, PermutationGroup
 
 
 def naive_rank(rows, p):
@@ -153,6 +156,57 @@ def naive_minimal_normal_orders(generators):
         if not any(m < n for m in normals if len(m) > 1)
     ]
     return sorted(len(n) for n in minimal)
+
+
+def minimal_normal_by_enumeration(generators):
+    """Minimal normal subgroups of the group generated by image tuples, as
+    PermutationGroups sorted by order: the normal closures of the
+    prime-order cyclic subgroups, one per conjugacy class, minimal under
+    inclusion.  Lists every element of the group; only its orders and
+    normal closures come from the library.  Reference for the
+    regular-normal-subgroup verdict ``geomforge.local._has_regular_normal_subgroup``,
+    which lists neither the group nor its cyclic subgroups."""
+    group = PermutationGroup([Permutation(g) for g in generators])
+    if group.order() == 1:
+        return []
+
+    def cyclic_key(x, p):
+        return tuple(sorted((x ** k).images for k in range(1, p)))
+
+    cyclic_seeds = {}
+    for g in group.elements(bound=10**6):
+        if g.is_identity():
+            continue
+        o = g.order()
+        p = next(d for d in range(2, o + 1) if o % d == 0)
+        x = g ** (o // p)
+        cyclic_seeds.setdefault(cyclic_key(x, p), x)
+    conjugators = [(g.inverse(), g) for g in group.generators]
+    marked = set()
+    closures = []
+    for key, x in cyclic_seeds.items():
+        if key in marked:
+            continue
+        # conjugate seeds share x's normal closure: mark the whole class
+        marked.add(key)
+        p = x.order()
+        queue = [x]
+        while queue:
+            h = queue.pop()
+            for ginv, g in conjugators:
+                conj = ginv * h * g
+                conj_key = cyclic_key(conj, p)
+                if conj_key not in marked:
+                    marked.add(conj_key)
+                    queue.append(conj)
+        closure = group.normal_closure([x])
+        if not any(closure.equals(other) for other in closures):
+            closures.append(closure)
+    minimal = [
+        n for n in closures
+        if not any(m.order() < n.order() and m.is_subgroup_of(n) for m in closures)
+    ]
+    return sorted(minimal, key=lambda n: n.order())
 
 
 def bfs_girth(adjacency):

@@ -1,8 +1,9 @@
 """Local analysis tests: sigma subgraphs, the projective-space structure of
 vertex stars, kernel series, condition (*), girth and the girth-5 check."""
 
+import time
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from geomforge import build, local
 from geomforge.geom import GeometryError, derived_graph, residue
 from geomforge.graphs import Graph, girth, graph_isomorphism, petersen_graph
 from geomforge.perm import Permutation, PermutationGroup, induced_action, label_key
-from oracles import bfs_girth
+from oracles import bfs_girth, minimal_normal_by_enumeration
 
 
 class TestSigmaSubgraph:
@@ -352,3 +353,156 @@ class TestHypothesis61:
         with pytest.raises(GeometryError) as excinfo:
             local.hypothesis_61_check(square, action)
         assert str(excinfo.value) == "generator 1 is not a graph automorphism"
+
+
+def _hyp61(meta):
+    g = meta.geometry
+    action = meta.action.restricted(g.elements_of_type(g.rank))
+    return local.hypothesis_61_check(derived_graph(g), action)
+
+
+class TestHyp61Builtins:
+    @pytest.mark.parametrize("name", ["tilde9", "sp3", "pg4"])
+    def test_lists_no_group(self, monkeypatch, name):
+        # local degrees 6 and 14: the arithmetic filter decides without
+        # listing the local action or taking a normal closure
+        meta = {
+            "tilde9": lambda: _kernel_builds()["tilde9"],
+            "sp3": lambda: build.symplectic_polar_space(3),
+            "pg4": lambda: build.projective_geometry_2(4),
+        }[name]()
+        calls = []
+
+        def counted(method):
+            original = getattr(PermutationGroup, method)
+
+            def wrapper(*args, **kwargs):
+                calls.append(method)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for method in ("elements", "normal_closure"):
+            monkeypatch.setattr(PermutationGroup, method, counted(method))
+        assert not _hyp61(meta).has_regular_normal_subgroup
+        assert calls == []
+
+    def test_pg5_report_within_two_seconds(self):
+        meta = build.projective_geometry_2(5)
+        started = time.monotonic()
+        report = _hyp61(meta)
+        assert time.monotonic() - started <= 2.0  # 34 s with the enumerating check
+        assert report.to_json() == {
+            "girth": 3,
+            "vertex_transitive": True,
+            "edge_transitive": True,
+            "local_action": {
+                "degree": 30,
+                "order": 322560,
+                "doubly_transitive": False,
+                "regular_normal_subgroup": False,
+            },
+            "kernel_nontrivial": False,
+            "verdict": "fail",
+            "first_failure": "girth",
+        }
+
+
+def _affine(p, k, linear=()):
+    """The unit translations of GF(p)^k and the given k x k matrices, acting
+    on the vectors in lexicographic order."""
+    vectors = list(product(range(p), repeat=k))
+    index = {v: i for i, v in enumerate(vectors)}
+    maps = [
+        lambda v, j=j: tuple((x + (i == j)) % p for i, x in enumerate(v)) for j in range(k)
+    ] + [
+        lambda v, m=m: tuple(sum(a * x for a, x in zip(row, v)) % p for row in m) for m in linear
+    ]
+    return PermutationGroup([Permutation([index[f(v)] for v in vectors]) for f in maps])
+
+
+def _on_triples(group):
+    """The action on ordered triples of distinct points: regular for A5,
+    and on the cosets of a transposition for S5."""
+    return induced_action(
+        group, permutations(range(group.degree), 3), lambda g, t: tuple(g.images[x] for x in t)
+    ).image_group()
+
+
+def _a5_by_both_sides():
+    """A5 x A5 on the 60 elements of A5, by right and left multiplication."""
+    a5 = PermutationGroup.alternating(5)
+    elements = a5.elements()
+    index = {e: i for i, e in enumerate(elements)}
+    right = [Permutation([index[e * s] for e in elements]) for s in a5.generators]
+    left = [Permutation([index[s.inverse() * e] for e in elements]) for s in a5.generators]
+    return PermutationGroup(right + left)
+
+
+
+def _a5_times_c12():
+    """A5 x C12 on the 60 pairs (b, a), point 5b + a: C12 moves b and A5
+    moves a.  Its minimal normal A5 has order 60 and sends 0 to 1, but it is
+    intransitive."""
+    a5 = PermutationGroup.alternating(5)
+    gens = [Permutation([5 * b + s.images[a] for b in range(12) for a in range(5)]) for s in a5.generators]
+    shift = Permutation([5 * ((b + 1) % 12) + a for b in range(12) for a in range(5)])
+    return PermutationGroup(gens + [shift])
+
+# whether some minimal normal subgroup is regular, as the enumerating check gave
+_REGULAR_VERDICTS = {
+    "S2": (lambda: PermutationGroup.symmetric(2), True),
+    "C3": (lambda: _affine(3, 1), True),
+    "S3": (lambda: PermutationGroup.symmetric(3), True),
+    "C5": (lambda: _affine(5, 1), True),
+    "D10": (lambda: _affine(5, 1, [[[4]]]), True),
+    "AGL(1,5)": (lambda: _affine(5, 1, [[[2]]]), True),
+    "A4": (lambda: PermutationGroup.alternating(4), True),
+    "S4": (lambda: PermutationGroup.symmetric(4), True),
+    "AGL(1,7)": (lambda: _affine(7, 1, [[[3]]]), True),
+    "AGL(2,2)": (lambda: _affine(2, 2, [[[0, 1], [1, 1]], [[0, 1], [1, 0]]]), True),
+    "AGL(3,2)": (
+        lambda: _affine(2, 3, [[[0, 0, 1], [1, 0, 0], [0, 1, 0]], [[1, 1, 0], [0, 1, 0], [0, 0, 1]]]),
+        True,
+    ),
+    "AGL(2,3)": (lambda: _affine(3, 2, [[[1, 1], [0, 1]], [[0, 1], [2, 0]], [[2, 0], [0, 1]]]), True),
+    "A5 on 60": (lambda: _on_triples(PermutationGroup.alternating(5)), True),
+    "A5xA5 on 60": (_a5_by_both_sides, True),
+    "S5 on 60": (lambda: _on_triples(PermutationGroup.symmetric(5)), True),
+    "V4": (lambda: _affine(2, 2), False),
+    "C4": (lambda: PermutationGroup([_cycle(4)]), False),
+    "D8": (lambda: PermutationGroup([_cycle(4), _reflection(4)]), False),
+    "A5": (lambda: PermutationGroup.alternating(5), False),
+    "S5": (lambda: PermutationGroup.symmetric(5), False),
+    "S6": (lambda: PermutationGroup.symmetric(6), False),
+    "S8": (lambda: PermutationGroup.symmetric(8), False),
+    "C60 on 60": (lambda: PermutationGroup([_cycle(60)]), False),
+    "A5xC12 on 60": (_a5_times_c12, False),
+}
+
+
+@st.composite
+def _small_groups(draw):
+    """Groups of degree 1-7 generated by up to three powers of random
+    permutations; the powers make small and intransitive groups common."""
+    degree = draw(st.integers(1, 7))
+    gens = draw(
+        st.lists(st.tuples(st.permutations(range(degree)), st.integers(1, 6)), min_size=1, max_size=3)
+    )
+    return PermutationGroup([Permutation(p) ** k for p, k in gens], degree=degree)
+
+
+class TestRegularNormalSubgroup:
+    @pytest.mark.parametrize("name", list(_REGULAR_VERDICTS))
+    def test_verdict(self, name):
+        make, expected = _REGULAR_VERDICTS[name]
+        group = make()
+        assert local._has_regular_normal_subgroup(group, group.degree) == expected
+
+    @given(_small_groups())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_enumeration(self, group):
+        degree = group.degree
+        minimal = minimal_normal_by_enumeration([g.images for g in group.generators])
+        expected = any(n.order() == degree and n.is_transitive(degree) for n in minimal)
+        assert local._has_regular_normal_subgroup(group, degree) == expected

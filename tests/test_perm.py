@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geomforge.perm as perm_module
+from geomforge import local
 from geomforge.build import gamma_l3_4, symplectic_transvections
 from geomforge.perm import (
     CapacityError,
@@ -30,7 +31,12 @@ from geomforge.perm import (
     natural_action,
     subgroup_search,
 )
-from oracles import exhaustive_orbit, naive_group_elements, naive_minimal_normal_orders
+from oracles import (
+    exhaustive_orbit,
+    minimal_normal_by_enumeration,
+    naive_group_elements,
+    naive_minimal_normal_orders,
+)
 
 
 def pair_rule(g, pair):
@@ -201,6 +207,9 @@ class TestStabilizer:
 
 
 class TestMinimalNormalSubgroups:
+    """The regular-minimal-normal-subgroup verdict of ``local`` and the
+    enumerating reference in ``oracles`` that it replaced."""
+
     @pytest.mark.parametrize(
         "group,expected",
         [
@@ -210,15 +219,17 @@ class TestMinimalNormalSubgroups:
         ],
     )
     def test_against_bruteforce(self, group, expected):
-        got = [g.order() for g in group.minimal_normal_subgroups()]
-        assert got == expected
-        assert got == naive_minimal_normal_orders(
-            [g.images for g in group.generators]
+        images = [g.images for g in group.generators]
+        assert naive_minimal_normal_orders(images) == expected
+        assert [n.order() for n in minimal_normal_by_enumeration(images)] == expected
+        # S4 and S3 have a regular V4 and A3; A5 is simple of order 60, not 5
+        assert local._has_regular_normal_subgroup(group, group.degree) == (
+            group.degree in expected
         )
 
     def test_members_are_normal_and_incomparable(self):
         group = PermutationGroup.symmetric(4)
-        subs = group.minimal_normal_subgroups()
+        subs = minimal_normal_by_enumeration([g.images for g in group.generators])
         for sub in subs:
             assert sub.is_normal_in(group)
         for a in subs:
@@ -227,13 +238,13 @@ class TestMinimalNormalSubgroups:
                     assert not a.is_subgroup_of(b)
 
     def test_capacity_bound(self):
-        group = PermutationGroup.symmetric(5)
         with pytest.raises(CapacityError):
-            group.minimal_normal_subgroups(bound=100)
+            PermutationGroup.symmetric(5).elements(bound=100)
 
     @pytest.mark.parametrize("degree,classes,minimal", [(4, 3, 4), (5, 4, 60)])
     def test_one_normal_closure_per_conjugacy_class(self, monkeypatch, degree, classes, minimal):
-        # S4 and S5 have 3 and 4 classes of subgroups of prime order
+        # S4 and S5 have 3 and 4 classes of subgroups of prime order; the
+        # reference takes one normal closure per class
         calls = []
         normal_closure = PermutationGroup.normal_closure
 
@@ -243,7 +254,8 @@ class TestMinimalNormalSubgroups:
 
         monkeypatch.setattr(PermutationGroup, "normal_closure", counted)
         group = PermutationGroup.symmetric(degree)
-        assert [g.order() for g in group.minimal_normal_subgroups()] == [minimal]
+        subs = minimal_normal_by_enumeration([g.images for g in group.generators])
+        assert [g.order() for g in subs] == [minimal]
         assert len(calls) == classes
 
 
