@@ -25,7 +25,7 @@ from .geom import (
     quotient_by_action,
     is_s_covering,
 )
-from .gf2 import _basis_of, _span, _subspace_dim, _subspaces
+from .gf2 import _span, _subspace_dim, _subspaces
 from .perm import (
     GroupAction,
     Permutation,
@@ -204,48 +204,70 @@ def symplectic_generators(n: int) -> list[Permutation]:
     """The transvections of ``symplectic_transvections(n)`` kept in vector
     order when the group generated by those kept before does not contain
     them: 3n - 1 of the 2^2n - 1, and they generate Sp_2n(2)."""
+    return list(_symplectic_group(n).generators)
+
+
+def _symplectic_group(n: int) -> PermutationGroup:
+    """Sp_2n(2) on the generators of :func:`symplectic_generators`.  The
+    greedy pick builds a verified chain for each group it tries; the last
+    one is returned with its order asserted on that chain."""
     kept: list[Permutation] = []
     group: Optional[PermutationGroup] = None
     for t in symplectic_transvections(n):
         if group is None or not group.contains(t):
             kept.append(t)
-            group = PermutationGroup(kept)
-    return kept
+            group = PermutationGroup(kept, name=f"Sp{2 * n}(2)")
+    # |Sp_2n(2)| = 2^(n^2) (4 - 1)(4^2 - 1)...(4^n - 1)
+    order = prod(4**i - 1 for i in range(1, n + 1)) << (n * n)
+    if group.order() != order:
+        raise ValueError(f"group order {group.order()} does not match expected {order}")
+    return group
+
+
+def _isotropic_subspaces(n: int) -> list[list[tuple[int, ...]]]:
+    """The nonzero totally isotropic subspaces of GF(2)^2n, one sorted list
+    per dimension 1..n, each subspace the sorted tuple of its nonzero
+    vectors.  A subspace is grown from its reduced echelon rows (pivots
+    descending) by a vector v orthogonal to them whose leading bit lies
+    below the lowest pivot and is zero in every row; the rows plus v are
+    then the reduced echelon rows of the larger subspace, so each
+    subspace is made exactly once, from the span of its other rows."""
+    layer = [((v,), (v,)) for v in range(1, 1 << (2 * n))]
+    by_dim = [[vectors for _, vectors in layer]]
+    for _ in range(n - 1):
+        grown = []
+        for rows, vectors in layer:
+            swapped = [_swap_bit_pairs(r) for r in rows]
+            for lead in range(rows[-1].bit_length() - 1):
+                if any(r >> lead & 1 for r in rows):
+                    continue
+                for v in range(1 << lead, 2 << lead):
+                    if all((v & s).bit_count() & 1 == 0 for s in swapped):
+                        grown.append(
+                            (rows + (v,), tuple(sorted((*vectors, v, *(u ^ v for u in vectors)))))
+                        )
+        layer = grown
+        by_dim.append(sorted(vectors for _, vectors in layer))
+    return by_dim
 
 
 def symplectic_polar_space(n: int, rank_bound: int = SYMPLECTIC_RANK_BOUND) -> ConstructionMetadata:
     """Nonzero totally isotropic subspaces of GF(2)^2n typed by dimension,
-    with Sp_2n(2) generated by the transvections of
-    :func:`symplectic_generators`, its order asserted.  The axioms and
+    each made once by echelon growth (:func:`_isotropic_subspaces`), with
+    Sp_2n(2) generated by the transvections of :func:`symplectic_generators`;
+    its order is asserted on the chain that picked them.  The axioms and
     flag-transitivity are verified at build time for 2 <= n <= 3."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > rank_bound:
         raise CapacityError(f"symplectic rank {n} above bound {rank_bound}")
-    dim = 2 * n
-    size = 1 << dim
-    # grow isotropic subspaces dimension by dimension; orthogonality only
-    # needs checking against a basis, via one masked popcount per vector
-    by_dim: list[list[tuple[int, ...]]] = [[(v,) for v in range(1, size)]]
-    for _ in range(n - 1):
-        nxt = set()
-        for sub in by_dim[-1]:
-            sub_set = set(sub)
-            swapped = [_swap_bit_pairs(b) for b in _basis_of(sub)]
-            for v in range(1, size):
-                if v in sub_set:
-                    continue
-                if all((v & s).bit_count() & 1 == 0 for s in swapped):
-                    nxt.add(_span(list(sub) + [v]))
-        by_dim.append(sorted(nxt))
+    by_dim = _isotropic_subspaces(n)
     elements = []
     for d, subs in enumerate(by_dim, start=1):
         elements.extend((s, d) for s in subs)
     all_subs = [s for subs in by_dim for s in subs]
     geometry = Geometry(n, elements, _containment_incidences(all_subs))
-    # |Sp_2n(2)| = 2^(n^2) (4 - 1)(4^2 - 1)...(4^n - 1)
-    order = prod(4**i - 1 for i in range(1, n + 1)) << (n * n)
-    group = PermutationGroup(symplectic_generators(n), name=f"Sp{dim}(2)", expected_order=order)
+    group = _symplectic_group(n)
 
     def apply(g: Permutation, sub):
         return tuple(sorted(g.images[v - 1] + 1 for v in sub))

@@ -206,14 +206,12 @@ class Geometry:
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
+        # one id string per element, not one per end of each incidence
+        ids = {e: _id_to_str(e) for e in self.elements}
         return {
             "rank": self.rank,
-            "elements": [
-                {"id": _id_to_str(e), "type": self.type_of[e]} for e in self.elements
-            ],
-            "incidences": [
-                [_id_to_str(a), _id_to_str(b)] for a, b in self.incidence_pairs()
-            ],
+            "elements": [{"id": ids[e], "type": self.type_of[e]} for e in self.elements],
+            "incidences": [[ids[a], ids[b]] for a, b in self.incidence_pairs()],
         }
 
     @classmethod
@@ -264,10 +262,21 @@ class GeometryVerdict:
 def is_geometry(candidate: Geometry) -> GeometryVerdict:
     """Check the two geometry axioms: every maximal flag meets all types, and
     every residue of rank at least 2 (including the whole system) is
-    connected.  One walk over the flags that miss a type checks both; a
-    flag that misses a type ends it and is reported alone, otherwise the
-    first disconnected residue is."""
-    rank = candidate.rank
+    connected.  One walk over the flags that miss a type, shared with
+    :func:`diagram` through :func:`_axiom_walk`, checks both; a flag that
+    misses a type ends it and is reported alone, otherwise the first
+    disconnected residue is."""
+    failures = _axiom_walk(candidate)
+    return GeometryVerdict(not failures, failures)
+
+
+def _axiom_walk(g: Geometry, also=None) -> list[str]:
+    """The failures :func:`is_geometry` reports, from one walk over the
+    flags of size at most rank - 1.  ``also(flag, candidates)``, when
+    given, sees every flag the walk visits up to the first one that
+    misses a type, which ends the walk; a true return says that the
+    flag's residue is connected, which spares its search."""
+    rank = g.rank
     missing: list[str] = []
     disconnected: list[str] = []
 
@@ -275,13 +284,13 @@ def is_geometry(candidate: Geometry) -> GeometryVerdict:
         if len(flag) < rank and not cands:
             missing.append(f"maximal flag {[_id_to_str(e) for e in flag]} misses some type")
             return True
-        if not disconnected and len(flag) <= rank - 2 and not _subset_connected(candidate, cands):
+        shown = also is not None and also(flag, cands)
+        if not (disconnected or shown) and len(flag) <= rank - 2 and not _subset_connected(g, cands):
             disconnected.append(f"residue of flag {[_id_to_str(e) for e in flag]} is disconnected")
         return None
 
-    candidate.walk_flags(visit, max_size=rank - 1)
-    failures = missing or disconnected
-    return GeometryVerdict(not failures, failures)
+    g.walk_flags(visit, max_size=rank - 1)
+    return missing or disconnected
 
 
 def _subset_connected(g: Geometry, subset: frozenset) -> bool:
@@ -364,16 +373,18 @@ def derived_graph(g: Geometry) -> Graph:
 def _common_neighbor_graph(g: Geometry, point_type: int, line_type: int) -> Graph:
     if g.rank < 2:
         raise GeometryError("graph construction requires rank at least 2")
+    # within one type the element positions follow label_key
+    order = g._order
     points = g.elements_of_type(point_type)
     edges = set()
     for line in g.elements_of_type(line_type):
         on_line = sorted(
-            (e for e in g.pencil(line) if g.type_of[e] == point_type), key=label_key
+            (e for e in g.pencil(line) if g.type_of[e] == point_type), key=order.__getitem__
         )
         for i, a in enumerate(on_line):
             for b in on_line[i + 1 :]:
                 edges.add((a, b))
-    return Graph(points, sorted(edges, key=lambda e: (label_key(e[0]), label_key(e[1]))))
+    return Graph(points, sorted(edges, key=lambda e: (order[e[0]], order[e[1]])))
 
 
 # ---------------------------------------------------------------------------
@@ -451,27 +462,33 @@ UNKNOWN = "unknown"
 
 
 def diagram(g: Geometry) -> DiagramReport:
-    """Classify all rank-2 residues per type pair and report node orders, in
-    one walk over the flags that miss two types or one."""
-    verdict = is_geometry(g)
-    if not verdict.ok:
-        raise GeometryError(f"diagram requires a geometry: {verdict.failures}")
+    """Classify all rank-2 residues per type pair and report node orders.
+    The walk over the flags that miss two types or one is the one that
+    checks the axioms (:func:`_axiom_walk`), and a residue that gets a
+    named class needs no connectivity search; a candidate that fails the
+    axioms raises GeometryError with the failures :func:`is_geometry`
+    reports."""
     types = range(1, g.rank + 1)
     classes: dict = {(i, j): set() for i in types for j in types if i < j}
     sizes: dict = {i: set() for i in types}
 
-    def visit(flag, cands):
+    def classify(flag, cands):
         flag_types = {g.type_of[e] for e in flag}
         missing = tuple(t for t in types if t not in flag_types)
         # two classes already make the edge unknown
         if len(missing) == 2 and len(classes[missing]) < 2:
             points = frozenset(e for e in cands if g.type_of[e] == missing[0])
-            classes[missing].add(_classify_rank2(g, flag, points, cands - points))
-        elif len(missing) == 1:
+            found = _classify_rank2(g, flag, points, cands - points)
+            classes[missing].add(found)
+            # each named class is a connected rank-2 geometry
+            return found != UNKNOWN
+        if len(missing) == 1:
             sizes[missing[0]].add(len(cands))
-        return None
+        return False
 
-    g.walk_flags(visit, max_size=g.rank - 1)
+    failures = _axiom_walk(g, classify)
+    if failures:
+        raise GeometryError(f"diagram requires a geometry: {failures}")
     edges = {pair: found.pop() if len(found) == 1 else UNKNOWN for pair, found in classes.items()}
     orders = {i: found.pop() - 1 if len(found) == 1 else None for i, found in sizes.items()}
     return DiagramReport(g.rank, edges, orders)

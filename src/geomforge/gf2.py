@@ -18,8 +18,8 @@ change the result: the reduced row echelon form is unique, so the payload
 and the pivot columns, in natural order, depend on the matrix alone.
 
 The module also holds the GF(2)-subspace helpers on integer bit masks
-(``_basis_of``, ``_span``, ``_subspaces``, ``_subspace_dim``) that the
-constructions and the natural representation checks share.
+(``_span``, ``_subspaces``, ``_subspace_dim``, on top of ``_basis_of``)
+that the constructions and the natural representation checks share.
 """
 
 from __future__ import annotations

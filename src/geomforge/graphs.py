@@ -29,7 +29,7 @@ class Graph:
                 raise ValueError("edge endpoint outside vertex set")
             adj[a].add(b)
             adj[b].add(a)
-        self._adj = {v: tuple(sorted(ns, key=label_key)) for v, ns in adj.items()}
+        self._adj = {v: tuple(sorted(ns, key=self._index.__getitem__)) for v, ns in adj.items()}
 
     @property
     def n(self) -> int:
@@ -45,12 +45,8 @@ class Graph:
         return b in self._adj[a]
 
     def edges(self) -> list[tuple]:
-        out = []
-        for v in self.vertices:
-            for w in self._adj[v]:
-                if label_key(v) < label_key(w):
-                    out.append((v, w))
-        return out
+        index = self._index
+        return [(v, w) for v in self.vertices for w in self._adj[v] if index[v] < index[w]]
 
     @property
     def num_edges(self) -> int:
@@ -66,7 +62,7 @@ class Graph:
         return len(self.component(self.vertices[0])) == self.n
 
     def component(self, start) -> list:
-        return sorted(_closure([start], self._adj.__getitem__), key=label_key)
+        return sorted(_closure([start], self._adj.__getitem__), key=self._index.__getitem__)
 
     def distances(self, start) -> dict:
         dist = {start: 0}
@@ -86,7 +82,7 @@ class Graph:
     def ball(self, center, radius: int) -> list:
         return sorted(
             (v for v, d in self.distances(center).items() if d <= radius),
-            key=label_key,
+            key=self._index.__getitem__,
         )
 
     def induced(self, subset: Iterable) -> "Graph":
@@ -99,13 +95,14 @@ class Graph:
 
     def triangles(self) -> list[tuple]:
         """All 3-cliques, each as a canonically sorted triple."""
+        index = self._index
         out = []
         for a in self.vertices:
             for b in self._adj[a]:
-                if label_key(b) <= label_key(a):
+                if index[b] <= index[a]:
                     continue
                 for c in self._adj[b]:
-                    if label_key(c) <= label_key(b):
+                    if index[c] <= index[b]:
                         continue
                     if c in self._adj[a]:
                         out.append((a, b, c))
@@ -239,7 +236,7 @@ def _search_order(graph: Graph, colors: dict) -> list:
             key=lambda v: (
                 -sum(1 for u in graph.neighbors(v) if u in placed),
                 class_size[colors[v]],
-                label_key(v),
+                graph._index[v],
             ),
         )
         order.append(best)

@@ -16,6 +16,8 @@ from functools import lru_cache
 from random import Random
 from typing import Callable, Iterable, Optional, Sequence
 
+import numpy as np
+
 __all__ = [
     "Permutation",
     "PermutationGroup",
@@ -670,13 +672,24 @@ class GroupAction:
         """Index of the first generator that sends an unordered pair of
         labels from ``pairs`` to a pair outside them, or None when every
         generator preserves that set of pairs."""
+        # a pair {i, j} with i < j is the code i*n + j; each image is a
+        # bijection of the domain, so it keeps the set of codes exactly when
+        # the sorted codes of the images equal the sorted codes.  A set drops
+        # repeated pairs: np.unique would import numpy.ma on its first call,
+        # which costs a small CLI run more than the whole check
         index = self.index
-        keys = {tuple(sorted((index[a], index[b]))) for a, b in pairs}
+        n = len(self.domain)
+        keys = set()
+        for a, b in pairs:
+            i, j = index[a], index[b]
+            keys.add(i * n + j if i < j else j * n + i)
+        codes = np.array(sorted(keys), dtype=np.int64)
+        low, high = np.divmod(codes, n)
         for gi, img in enumerate(self.images):
-            for i, j in keys:
-                a, b = img[i], img[j]
-                if ((a, b) if a < b else (b, a)) not in keys:
-                    return gi
+            img = np.array(img, dtype=np.int64)
+            x, y = img[low], img[high]
+            if not np.array_equal(np.sort(np.minimum(x, y) * n + np.maximum(x, y)), codes):
+                return gi
         return None
 
     def orbit(self, seed) -> list:

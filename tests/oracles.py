@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
-from geomforge.perm import Permutation, PermutationGroup
+from geomforge.perm import Permutation, PermutationGroup, label_key
 
 
 def naive_rank(rows, p):
@@ -209,6 +209,22 @@ def minimal_normal_by_enumeration(generators):
     return sorted(minimal, key=lambda n: n.order())
 
 
+def first_generator_moving_by_scan(action, pairs):
+    """Index of the first generator of a GroupAction that sends one of the
+    unordered label pairs to a pair outside them, or None, by a set lookup
+    per pair and generator.  The scan that
+    ``geomforge.perm.GroupAction.first_generator_moving`` ran before it
+    compared sorted pair codes, kept as its reference."""
+    index = action.index
+    keys = {tuple(sorted((index[a], index[b]))) for a, b in pairs}
+    for gi, img in enumerate(action.images):
+        for i, j in keys:
+            a, b = img[i], img[j]
+            if ((a, b) if a < b else (b, a)) not in keys:
+                return gi
+    return None
+
+
 def bfs_girth(adjacency):
     """Shortest cycle length by breadth-first search from every vertex over
     a dict vertex -> iterable of neighbors."""
@@ -259,6 +275,47 @@ def naive_subspaces(vectors, k):
         if len(closed) == 2**k - 1:
             out.add(frozenset(closed))
     return out
+
+
+def isotropic_subspaces_by_growth(n):
+    """The nonzero totally isotropic subspaces of GF(2)^2n, one sorted list
+    of sorted vector tuples per dimension 1..n, grown dimension by dimension:
+    every (d+1)-subspace is reached from each d-subspace in it and each
+    vector outside it, and duplicates collapse in a set.  The form pairs
+    bits 2i and 2i + 1.  This is the growth loop that
+    ``geomforge.build.symplectic_polar_space`` ran before echelon growth,
+    kept as the reference for ``geomforge.build._isotropic_subspaces``."""
+
+    def form(x, y):
+        return sum(
+            (x >> 2 * i & 1) * (y >> 2 * i + 1 & 1) + (x >> 2 * i + 1 & 1) * (y >> 2 * i & 1)
+            for i in range(n)
+        ) & 1
+
+    size = 1 << (2 * n)
+    by_dim = [[(v,) for v in range(1, size)]]
+    for _ in range(n - 1):
+        grown = set()
+        for sub in by_dim[-1]:
+            for v in range(1, size):
+                if v not in sub and all(form(v, u) == 0 for u in sub):
+                    grown.add(tuple(sorted(naive_span([*sub, v]) - {0})))
+        by_dim.append(sorted(grown))
+    return by_dim
+
+
+def common_neighbor_edges(g, point_type, line_type):
+    """Pairs of type-``point_type`` elements of a geometry incident to a
+    common type-``line_type`` element, each pair and the list ordered by
+    ``label_key``: the edge list ``collinearity_graph`` and
+    ``derived_graph`` must give."""
+    points = [e for e in g.elements if g.type_of[e] == point_type]
+    edges = set()
+    for line in g.elements:
+        if g.type_of[line] == line_type:
+            on_line = sorted((p for p in points if g.incident(p, line)), key=label_key)
+            edges.update(combinations(on_line, 2))
+    return sorted(edges, key=lambda e: (label_key(e[0]), label_key(e[1])))
 
 
 def naive_rank2_class(points, lines, incidences):

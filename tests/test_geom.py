@@ -33,8 +33,8 @@ from geomforge.geom import (
     truncation,
 )
 from geomforge.graphs import graph_isomorphism, petersen_graph
-from geomforge.perm import Permutation, PermutationGroup, induced_action
-from oracles import naive_rank2_class
+from geomforge.perm import Permutation, PermutationGroup, induced_action, label_key
+from oracles import common_neighbor_edges, naive_rank2_class
 
 
 def hexagon():
@@ -323,8 +323,26 @@ class TestDiagramOracle:
             if is_geometry(perturbed).ok:
                 assert diagram(perturbed).edge(1, 2) == "unknown"
             else:
-                with pytest.raises(GeometryError):
+                with pytest.raises(GeometryError) as info:
                     diagram(perturbed)
+                failures = is_geometry(perturbed).failures
+                assert str(info.value) == f"diagram requires a geometry: {failures}"
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_disconnected_residue_alone_is_reported(self, n):
+        # two disjoint copies of PG(n-1,2): every maximal flag meets all
+        # types, and only the whole system is disconnected
+        pg = build.projective_geometry_2(n).geometry
+        copies = Geometry(
+            n - 1,
+            [((c, e), pg.type_of[e]) for c in "ab" for e in pg.elements],
+            [((c, x), (c, y)) for c in "ab" for x, y in pg.incidence_pairs()],
+        )
+        failures = is_geometry(copies).failures
+        assert failures == ["residue of flag [] is disconnected"]
+        with pytest.raises(GeometryError) as info:
+            diagram(copies)
+        assert str(info.value) == f"diagram requires a geometry: {failures}"
 
     @pytest.mark.parametrize("n, base, expected", [
         (7, (0, 1, 3), "projective-plane-2"),
@@ -448,6 +466,28 @@ class TestGraphs:
         )
         graph = derived_graph(g)
         assert graph.n == 1 and graph.num_edges == 0
+
+    @pytest.mark.parametrize("name", ["petersen", "tilde9", "sp3", "pg4"])
+    def test_edge_and_neighbour_order_match_oracle(self, name, p0, sp3):
+        if name == "tilde9":
+            meta = build.tilde_geometry(9)
+        elif name == "pg4":
+            meta = build.projective_geometry_2(4)
+        else:
+            meta = {"petersen": p0, "sp3": sp3}[name]
+        g = meta.geometry
+        for graph, types in (
+            (collinearity_graph(g), (1, 2)),
+            (derived_graph(g), (g.rank, g.rank - 1)),
+        ):
+            expected = common_neighbor_edges(g, *types)
+            assert graph.edges() == expected
+            neighbours = {v: [] for v in graph.vertices}
+            for a, b in expected:
+                neighbours[a].append(b)
+                neighbours[b].append(a)
+            for v in graph.vertices:
+                assert list(graph.neighbors(v)) == sorted(neighbours[v], key=label_key)
 
     def test_functoriality_on_generators(self, p0):
         g = p0.geometry

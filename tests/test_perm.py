@@ -33,6 +33,7 @@ from geomforge.perm import (
 )
 from oracles import (
     exhaustive_orbit,
+    first_generator_moving_by_scan,
     minimal_normal_by_enumeration,
     naive_group_elements,
     naive_minimal_normal_orders,
@@ -416,6 +417,24 @@ class TestInducedAction:
         group = PermutationGroup([Permutation([1, 0])])
         with pytest.raises(ValueError):
             GroupAction(group, ["a", "b"], [images])
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 7).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)
+    ), st.data())
+    def test_first_generator_moving_matches_scan(self, gens, data):
+        n = len(gens[0])
+        action = GroupAction(PermutationGroup([Permutation(g) for g in gens]), range(n), gens)
+        all_pairs = list(combinations(range(n), 2))
+        pairs = data.draw(st.lists(st.sampled_from(all_pairs), max_size=12)) if all_pairs else []
+        if data.draw(st.booleans()):
+            # close the pairs under the generators: an invariant set
+            maps = [lambda p, g=g: tuple(sorted((g[p[0]], g[p[1]]))) for g in gens]
+            pairs = sorted(set().union(*(exhaustive_orbit(p, maps) for p in pairs)))
+        pairs = [(b, a) if data.draw(st.booleans()) else (a, b) for a, b in pairs]
+        expected = first_generator_moving_by_scan(action, pairs)
+        assert action.first_generator_moving(pairs) == expected
 
 
 class TestGroupFiles:
