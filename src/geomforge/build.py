@@ -30,6 +30,7 @@ from .perm import (
     GroupAction,
     Permutation,
     PermutationGroup,
+    StabilizerChain,
     SubgroupPredicate,
     _closure,
     induced_action,
@@ -209,18 +210,18 @@ def symplectic_generators(n: int) -> list[Permutation]:
 
 def _symplectic_group(n: int) -> PermutationGroup:
     """Sp_2n(2) on the generators of :func:`symplectic_generators`.  The
-    greedy pick builds a verified chain for each group it tries; the last
-    one is returned with its order asserted on that chain."""
-    kept: list[Permutation] = []
-    group: Optional[PermutationGroup] = None
-    for t in symplectic_transvections(n):
-        if group is None or not group.contains(t):
-            kept.append(t)
-            group = PermutationGroup(kept, name=f"Sp{2 * n}(2)")
+    greedy pick extends one verified chain by each transvection it keeps;
+    the group carries that chain, on which its order is asserted."""
+    transvections = symplectic_transvections(n)
+    chain = StabilizerChain(transvections[0].degree, [])
+    for t in transvections:
+        chain.extend(t)
     # |Sp_2n(2)| = 2^(n^2) (4 - 1)(4^2 - 1)...(4^n - 1)
     order = prod(4**i - 1 for i in range(1, n + 1)) << (n * n)
-    if group.order() != order:
-        raise ValueError(f"group order {group.order()} does not match expected {order}")
+    if chain.order() != order:
+        raise ValueError(f"group order {chain.order()} does not match expected {order}")
+    group = PermutationGroup(chain.generators, name=f"Sp{2 * n}(2)")
+    group._chain = chain
     return group
 
 

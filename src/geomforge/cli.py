@@ -18,7 +18,7 @@ import numpy as np
 
 from . import build, cover, gf2, geom, local, natrep
 from .geom import Geometry
-from .perm import CapacityError as PermCapacityError
+from .perm import CapacityError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -392,7 +392,7 @@ def main(argv=None) -> int:
     except _Capacity as exc:
         _emit(command, {}, json.loads(str(exc)), "capacity", started)
         return EXIT_CAPACITY
-    except (geom.CapacityError, PermCapacityError, cover.CoverCapacityError) as exc:
+    except CapacityError as exc:
         _log(f"capacity: {exc}")
         _emit(command, {}, {"error": str(exc)}, "capacity", started)
         return EXIT_CAPACITY

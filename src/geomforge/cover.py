@@ -26,7 +26,7 @@ import numpy as np
 
 from .gf2 import MatrixGFp
 from .graphs import Graph
-from .perm import label_key
+from .perm import CapacityError, label_key
 
 __all__ = [
     "Presentation",
@@ -553,7 +553,7 @@ def build_cover(
     )
     outcome = todd_coxeter(enriched, limit=limit)
     if not outcome.completed:
-        raise CoverCapacityError(
+        raise CapacityError(
             f"coset enumeration overflowed at {limit}; cover not constructible"
         )
     index = outcome.index
@@ -583,10 +583,6 @@ def build_cover(
     projection = {(c, v): v for c, v in vertices}
     _verify_covering(cover, complex_, projection)
     return cover, projection
-
-
-class CoverCapacityError(RuntimeError):
-    pass
 
 
 def _verify_covering(cover: TriangleComplex, base: TriangleComplex, projection: dict) -> None:

@@ -17,7 +17,7 @@ from itertools import combinations, groupby
 from typing import Iterable, Optional, Sequence
 
 from .graphs import Graph, graph_isomorphism
-from .perm import GroupAction, PermutationGroup, _closure, label_key
+from .perm import CapacityError, GroupAction, PermutationGroup, _closure, label_key
 
 __all__ = [
     "Geometry",
@@ -67,10 +67,6 @@ class ActionError(GeometryError):
 
 class MorphismError(GeometryError):
     """A map between geometries is not a valid morphism."""
-
-
-class CapacityError(RuntimeError):
-    """Operation exceeds its configured size bound."""
 
 
 class Geometry:
@@ -163,21 +159,17 @@ class Geometry:
 
         ``visit(flag_tuple, candidates)`` receives the flag (in canonical
         order) and the full set of elements incident to all of it; a flag is
-        non-extensible exactly when candidates is empty.  Returning the
-        string "prune" skips extensions of this flag; any other truthy value
-        aborts the walk, and the walk then returns True.  Same-type elements
-        are never incident, so pencil intersection handles type disjointness
-        automatically.
+        non-extensible exactly when candidates is empty.  Any truthy return
+        value aborts the walk, and the walk then returns True.  Same-type
+        elements are never incident, so pencil intersection handles type
+        disjointness automatically.
         """
         limit = self.rank if max_size is None else max_size
         order = self._order
         all_set = frozenset(self.elements)
 
         def rec(flag: tuple, cands) -> bool:
-            verdict = visit(flag, cands)
-            if verdict == "prune":
-                return False
-            if verdict:
+            if visit(flag, cands):
                 return True
             if len(flag) >= limit:
                 return False
@@ -601,12 +593,8 @@ def quotient_by_action(g: Geometry, action: GroupAction) -> tuple[Geometry, Geom
     orbits = [tuple(orb) for orb in action.orbits()]
     orbit_of = {x: orb for orb in orbits for x in orb}
     elements = [(orb, g.type_of[orb[0]]) for orb in orbits]
-    incidences = set()
-    for a, b in g.incidence_pairs():
-        oa, ob = orbit_of[a], orbit_of[b]
-        if oa != ob:
-            incidences.add((oa, ob) if label_key(oa) < label_key(ob) else (ob, oa))
-    quotient = Geometry(g.rank, elements, sorted(incidences, key=lambda p: (label_key(p[0]), label_key(p[1]))))
+    incidences = {(orbit_of[a], orbit_of[b]) for a, b in g.incidence_pairs()}
+    quotient = Geometry(g.rank, elements, [(oa, ob) for oa, ob in incidences if oa != ob])
     morphism = GeometryMorphism(g, quotient, {e: orbit_of[e] for e in g.elements})
     return quotient, morphism
 

@@ -52,6 +52,18 @@ _LOW = (1 << _BLOCK) - 1
 _BIT_ROWS = np.array([[v >> q & 1 for v in range(1 << _BLOCK)] for q in range(_BLOCK)])
 
 
+def _residues(vector: Sequence[int], prime: int) -> np.ndarray:
+    """A vector of bools or integers reduced mod prime.  Floats, which an
+    integer cast would truncate, and Python ints outside the signed 64-bit
+    range (numpy infers a float or object array for those) raise ValueError."""
+    values = np.asarray(vector)
+    if values.dtype.kind not in "biu":
+        raise ValueError(
+            f"vector entries must be bools or integers in the 64-bit range, not {values.dtype}"
+        )
+    return (values % prime).astype(np.int64)
+
+
 class MatrixGFp:
     """Immutable dense matrix over GF(2) or GF(3); see the module docstring
     for the payload layout."""
@@ -168,7 +180,7 @@ class MatrixGFp:
         """Matrix-vector product M @ v."""
         if len(vector) != self.cols:
             raise ShapeError("vector length does not match column count")
-        v = np.asarray(vector, dtype=np.int64) % self.prime
+        v = _residues(vector, self.prime)
         return (self._dense().astype(np.int64) @ v % self.prime).tolist()
 
     def __eq__(self, other) -> bool:
@@ -323,7 +335,7 @@ def solve(matrix: MatrixGFp, b: Sequence[int]) -> Optional[list[int]]:
     Returns None when b is outside the column space."""
     if len(b) != matrix.rows:
         raise ShapeError("right-hand side length does not match row count")
-    rhs = (np.asarray(b, dtype=np.int64) % matrix.prime).astype(np.uint8)
+    rhs = _residues(b, matrix.prime).astype(np.uint8)
     augmented = MatrixGFp._from_dense(matrix.prime, np.hstack([matrix._dense(), rhs[:, None]]))
     red, pivots = augmented.rref()
     if matrix.cols in pivots:

@@ -16,7 +16,6 @@ from .graphs import Graph, girth
 from .perm import (
     GroupAction,
     PermutationGroup,
-    StabilizerChain,
     _closure,
     induced_action,
     label_key,
@@ -123,8 +122,7 @@ def kernel_series(meta: ConstructionMetadata, a, s_max: int) -> KernelSeriesRepo
 
     The chain's base starts with the ball of radius s_max, nearer vertices
     first, and level k of a verified chain is the stabilizer of the first k
-    base points, so |K_s| is the product of the orbit sizes of the levels
-    from |ball(a, s)| down."""
+    base points, so K_s is the chain's stabilizer at level |ball(a, s)|."""
     if s_max < 0:
         raise ValueError("s_max must be nonnegative")
     delta, action = _derived_action(meta)
@@ -132,19 +130,11 @@ def kernel_series(meta: ConstructionMetadata, a, s_max: int) -> KernelSeriesRepo
         raise GeometryError(f"{a!r} is not a derived-graph vertex")
     distance = {v: d for v, d in delta.distances(a).items() if d <= s_max}
     ball = sorted(distance, key=lambda v: (distance[v], label_key(v)))
-    image = action.image_group()
-    chain = StabilizerChain(
-        image.degree, image.generators, base_prefix=[action.index[v] for v in ball]
-    )
-    # suffix[k] = order of the stabilizer of the first k base points
-    suffix = [1]
-    for level in reversed(chain.levels):
-        suffix.append(suffix[-1] * len(level.inverses))
-    suffix.reverse()
-    orders = []
-    for s in range(s_max + 1):
-        fixed = sum(1 for d in distance.values() if d <= s)
-        orders.append(suffix[min(fixed, len(chain.levels))])
+    chain = action.image_group().base_chain([action.index[v] for v in ball])
+    orders = [
+        chain.stabilizer(sum(1 for d in distance.values() if d <= s)).order()
+        for s in range(s_max + 1)
+    ]
     return KernelSeriesReport(a, orders)
 
 
@@ -217,10 +207,9 @@ def hypothesis_61_check(graph: Graph, action: GroupAction) -> Hypothesis61Report
         edge_transitive = len(orbit) == len(edges)
 
     x = graph.vertices[0]
-    # one chain with base point x: its levels from 1 on give G_x and its order
-    chain = StabilizerChain(image.degree, image.generators, base_prefix=[action.index[x]])
-    stabilizer_order = math.prod(len(level.inverses) for level in chain.levels[1:])
-    stabilizer = PermutationGroup(chain.stabilizer_generators(1), degree=image.degree)
+    # one chain with base point x gives G_x and its order
+    stabilizer = image.stabilizer([action.index[x]])
+    stabilizer_order = stabilizer.order()
     neighbors = [action.index[v] for v in graph.neighbors(x)]
     local = induced_action(stabilizer, neighbors, lambda p, v: p.images[v])
     local_image = local.image_group()
@@ -307,10 +296,9 @@ def _has_regular_normal_subgroup(group: PermutationGroup, degree: int) -> bool:
         p, k = power
         if degree * math.prod(degree - p**i for i in range(k)) % group.order():
             return False
-    chain = StabilizerChain(degree, group.generators, base_prefix=[0])
-    u = chain.levels[0].inverses[1].inverse()  # sends 0 to 1
-    stabilizer = PermutationGroup(chain.stabilizer_generators(1), degree=degree)
-    for h in stabilizer.elements():
+    chain = group.base_chain([0])
+    u = chain.representative(1)  # sends 0 to 1
+    for h in chain.stabilizer(1).elements():
         x = h * u
         if any(x.images[i] == i for i in range(degree)):
             continue

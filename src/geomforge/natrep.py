@@ -128,24 +128,14 @@ def o3_split_dims(g: Geometry, meta: ConstructionMetadata) -> NatRepResult:
 def _point_permutation(
     g: Geometry, meta: ConstructionMetadata, points, point_index
 ) -> list[int]:
-    """The O3 generator as a permutation of point column indices."""
+    """The O3 generator as a permutation of point column indices, read off
+    the action's image of that generator."""
     action = meta.action
-    try:
-        gen_pos = list(meta.group.generators).index(meta.o3_generator)
-    except ValueError:
-        gen_pos = None
-    if gen_pos is not None:
-        return [
-            point_index[action.apply(gen_pos, p)] for p in points
-        ]
-    # the generator is not among the action generators: apply it through the
-    # same element rule used by the construction (subspace ids of point ints)
-    o3 = meta.o3_generator
-    out = []
-    for p in points:
-        image = tuple(sorted(o3.images[x] for x in p))
-        out.append(point_index[image])
-    return out
+    generators = list(action.group.generators)
+    if meta.o3_generator not in generators:
+        raise ValueError("the O3 generator is not a generator of the construction's action")
+    gen_pos = generators.index(meta.o3_generator)
+    return [point_index[action.apply(gen_pos, p)] for p in points]
 
 
 @dataclass

@@ -261,7 +261,11 @@ class StabilizerChain:
     Schreier-generator verification pass, so reported orders are certified.
 
     ``base_prefix`` forces the chain base to start with the given points,
-    which makes pointwise stabilizers directly readable off the chain.
+    which makes pointwise stabilizers directly readable off the chain
+    (:meth:`stabilizer`).  :meth:`extend` grows a verified chain by one
+    generator in place, so a group built one generator at a time needs one
+    chain; ``generators`` holds the nonidentity generators given, then each
+    one that ``extend`` added.  Only this module reads the level layout.
     """
 
     def __init__(
@@ -324,12 +328,13 @@ class StabilizerChain:
         return g, len(self.levels)
 
     def _add_generator(self, g: Permutation, start: int) -> bool:
+        """Sift g from level ``start``; a nonidentity residue becomes a
+        strong generator at the level where it failed."""
         g, i = self._sift(g, start)
         if g.is_identity():
             return False
         if i == len(self.levels):
-            base = self._next_base_point(g)
-            self.levels.append(_ChainLevel(base, self.degree))
+            self.levels.append(_ChainLevel(self._next_base_point(g), self.degree))
         self.levels[i].gens.append(g)
         # the new generator lives in every group down to level 0, so all
         # orbits up to level i may grow
@@ -380,16 +385,21 @@ class StabilizerChain:
             for p in sorted(inverses):
                 rep = inverses[p].inverse()
                 for g in gens:
-                    schreier = rep * g * inverses[g.images[p]]
-                    residue, j = self._sift(schreier, i + 1)
-                    if not residue.is_identity():
-                        if j == len(self.levels):
-                            base = self._next_base_point(residue)
-                            self.levels.append(_ChainLevel(base, self.degree))
-                        self.levels[j].gens.append(residue)
-                        for k in range(j, -1, -1):
-                            self._extend_orbit(k)
+                    if self._add_generator(rep * g * inverses[g.images[p]], i + 1):
                         return False
+        return True
+
+    def extend(self, g: Permutation) -> bool:
+        """Add g to the group in place (the incremental Schreier-Sims of
+        Seress, *Permutation Group Algorithms*, 2003, section 4.2): False
+        when the chain already holds g; otherwise its residue becomes a
+        strong generator and ``_verify`` runs until it passes, so the chain
+        stays certified."""
+        if not self._add_generator(g, 0):
+            return False
+        self.generators.append(g)
+        while not self._verify():
+            pass
         return True
 
     # -- queries -----------------------------------------------------------
@@ -404,14 +414,22 @@ class StabilizerChain:
         residue, _ = self._sift(g)
         return residue.is_identity()
 
-    def stabilizer_generators(self, fixed: int) -> list[Permutation]:
-        """Generators of the subgroup fixing the first ``fixed`` base-prefix
-        points.  Level k always carries base-prefix point k (new levels take
-        prefix points in order), so the verified chain puts that stabilizer
-        at level ``fixed``; a shorter chain means the stabilizer is trivial."""
-        if fixed > len(self._base_prefix):
-            raise ValueError("more fixed points requested than the base prefix holds")
-        return self._level_gens(min(fixed, len(self.levels)))
+    def stabilizer(self, k: int) -> "PermutationGroup":
+        """The subgroup at level k, which fixes the first k base points, with
+        its order read off this verified chain.  Level k always carries
+        base-prefix point k (new levels take prefix points in order), so for
+        k up to the prefix length this is the pointwise stabilizer of the
+        first k prefix points; a shorter chain means it is trivial."""
+        levels = self.levels[k:]
+        return PermutationGroup._certified(
+            [g for level in levels for g in level.gens],
+            self.degree,
+            math.prod(len(level.inverses) for level in levels),
+        )
+
+    def representative(self, q: int) -> Permutation:
+        """An element sending the first base point to q."""
+        return self.levels[0].inverses[q].inverse()
 
     def sample(self, rng: Random) -> Permutation:
         """Uniform random element (valid because the chain is verified).
@@ -487,6 +505,16 @@ class PermutationGroup:
             )
 
     @classmethod
+    def _certified(
+        cls, generators: Sequence[Permutation], degree: int, order: int
+    ) -> "PermutationGroup":
+        """The group on ``generators`` whose order a verified chain has
+        already certified; its own chain is built only when asked for."""
+        group = cls(generators, degree=degree)
+        group._verified_order = order
+        return group
+
+    @classmethod
     def trivial(cls, degree: int) -> "PermutationGroup":
         return cls([Permutation.identity(degree)], degree=degree, name="1")
 
@@ -513,6 +541,10 @@ class PermutationGroup:
         if self._chain is None:
             self._chain = StabilizerChain(self.degree, self.generators)
         return self._chain
+
+    def base_chain(self, points: Sequence[int]) -> StabilizerChain:
+        """A new verified chain whose base starts with ``points``."""
+        return StabilizerChain(self.degree, self.generators, base_prefix=points)
 
     def order(self) -> int:
         if self._verified_order is None:
@@ -566,15 +598,14 @@ class PermutationGroup:
         raise ValueError(f"unknown stabilizer mode: {mode!r}")
 
     def _pointwise_stabilizer(self, points: list[int]) -> "PermutationGroup":
-        chain = StabilizerChain(self.degree, self.generators, base_prefix=points)
-        gens = chain.stabilizer_generators(len(points))
-        name = None if self.name is None else f"{self.name}_{points}"
-        return PermutationGroup(gens, degree=self.degree, name=name)
+        stab = self.base_chain(points).stabilizer(len(points))
+        stab.name = None if self.name is None else f"{self.name}_{points}"
+        return stab
 
     def _setwise_stabilizer(self, points: list[int]) -> "PermutationGroup":
         # Schreier generators of the induced action on the orbit of the set,
-        # pruned by sifting against the growing stabilizer subgroup.  The
-        # target order is known exactly by orbit counting.
+        # kept when they extend one growing stabilizer chain.  The target
+        # order is known exactly by orbit counting.
         start = tuple(points)
         reps: dict[tuple[int, ...], Permutation] = {start: Permutation.identity(self.degree)}
         queue = [start]
@@ -589,41 +620,26 @@ class PermutationGroup:
                         nxt.append(t)
             queue = nxt
         target = self.order() // len(reps)
-        stab_gens: list[Permutation] = []
-        stab_chain: Optional[StabilizerChain] = None
+        chain = StabilizerChain(self.degree, [])
         for s in sorted(reps):
             rep = reps[s]
             for g in self.generators:
                 t = tuple(sorted(g.images[x] for x in s))
-                schreier = rep * g * reps[t].inverse()
-                if schreier.is_identity():
-                    continue
-                if stab_chain is not None and stab_chain.contains(schreier):
-                    continue
-                stab_gens.append(schreier)
-                stab_chain = StabilizerChain(self.degree, stab_gens)
-                if stab_chain.order() == target:
-                    return PermutationGroup(stab_gens, degree=self.degree)
-        return PermutationGroup(stab_gens or [Permutation.identity(self.degree)], degree=self.degree)
+                if chain.extend(rep * g * reps[t].inverse()) and chain.order() == target:
+                    return PermutationGroup._certified(chain.generators, self.degree, target)
+        return PermutationGroup._certified(chain.generators, self.degree, chain.order())
 
     def normal_closure(self, seeds: Sequence[Permutation]) -> "PermutationGroup":
         """Smallest normal subgroup containing the seed permutations."""
-        gens = [g for g in seeds if not g.is_identity()]
-        chain = StabilizerChain(self.degree, gens) if gens else None
-        queue = list(gens)
+        chain = StabilizerChain(self.degree, seeds)
+        queue = list(chain.generators)
         while queue:
             h = queue.pop()
             for g in self.generators:
                 conj = g.inverse() * h * g
-                if chain is None:
-                    chain = StabilizerChain(self.degree, [conj])
-                    gens.append(conj)
+                if chain.extend(conj):
                     queue.append(conj)
-                elif not chain.contains(conj):
-                    gens.append(conj)
-                    chain = StabilizerChain(self.degree, gens)
-                    queue.append(conj)
-        return PermutationGroup(gens or [Permutation.identity(self.degree)], degree=self.degree)
+        return PermutationGroup._certified(chain.generators, self.degree, chain.order())
 
     def is_normal_in(self, ambient: "PermutationGroup") -> bool:
         for g in ambient.generators:

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
-from geomforge.perm import Permutation, PermutationGroup, label_key
+from geomforge.perm import Permutation, PermutationGroup, StabilizerChain, label_key
 
 
 def naive_rank(rows, p):
@@ -223,6 +223,61 @@ def first_generator_moving_by_scan(action, pairs):
             if ((a, b) if a < b else (b, a)) not in keys:
                 return gi
     return None
+
+
+def setwise_stabilizer_by_rebuild(group, points):
+    """Generators of the setwise stabilizer of a point set: the Schreier
+    generators of the action on the set's orbit, each kept when the chain
+    rebuilt from those kept before does not contain it, until the order
+    reaches |G| / |orbit|.  The loop that
+    ``geomforge.perm.PermutationGroup._setwise_stabilizer`` ran before it
+    extended one chain, kept as its reference."""
+    start = tuple(sorted(set(points)))
+    reps = {start: Permutation.identity(group.degree)}
+    queue = [start]
+    while queue:
+        nxt = []
+        for s in queue:
+            for g in group.generators:
+                t = tuple(sorted(g.images[x] for x in s))
+                if t not in reps:
+                    reps[t] = reps[s] * g
+                    nxt.append(t)
+        queue = nxt
+    target = group.order() // len(reps)
+    kept = []
+    chain = None
+    for s in sorted(reps):
+        for g in group.generators:
+            t = tuple(sorted(g.images[x] for x in s))
+            schreier = reps[s] * g * reps[t].inverse()
+            if schreier.is_identity() or (chain is not None and chain.contains(schreier)):
+                continue
+            kept.append(schreier)
+            chain = StabilizerChain(group.degree, kept)
+            if chain.order() == target:
+                return kept
+    return kept
+
+
+def normal_closure_by_rebuild(group, seeds):
+    """Generators of the normal closure of the seeds: the nonidentity seeds,
+    then every conjugate by a group generator that the chain rebuilt from
+    those kept before does not contain.  The loop that
+    ``geomforge.perm.PermutationGroup.normal_closure`` ran before it
+    extended one chain, kept as its reference."""
+    kept = [g for g in seeds if not g.is_identity()]
+    chain = StabilizerChain(group.degree, kept)
+    queue = list(kept)
+    while queue:
+        h = queue.pop()
+        for g in group.generators:
+            conj = g.inverse() * h * g
+            if not chain.contains(conj):
+                kept.append(conj)
+                chain = StabilizerChain(group.degree, kept)
+                queue.append(conj)
+    return kept
 
 
 def bfs_girth(adjacency):

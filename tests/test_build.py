@@ -117,6 +117,16 @@ class TestSymplectic:
             order *= 4**i - 1
         assert PermutationGroup(gens).order() == order
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_generators_match_rebuilt_pick(self, n):
+        # the greedy pick as it ran before it extended one chain: a fresh
+        # group of the kept transvections decides each membership
+        kept = []
+        for t in build.symplectic_transvections(n):
+            if not kept or not PermutationGroup(kept).contains(t):
+                kept.append(t)
+        assert build.symplectic_generators(n) == kept
+
     def test_group_on_picked_generators(self, gq22, sp3):
         assert list(gq22.group.generators) == build.symplectic_generators(2)
         assert list(sp3.group.generators) == build.symplectic_generators(3)

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomforge.cover import (
-    CoverCapacityError,
     Presentation,
     PresentationError,
     TriangleComplex,
@@ -22,6 +21,7 @@ from geomforge.cover import (
     todd_coxeter,
 )
 from geomforge.geom import collinearity_graph
+from geomforge.perm import CapacityError
 from geomforge.graphs import Graph, petersen_graph
 from oracles import naive_group_elements, naive_rank
 
@@ -371,5 +371,5 @@ class TestCovers:
 
     def test_overflow_raises_capacity(self):
         complex_ = TriangleComplex(cycle_graph(4))
-        with pytest.raises(CoverCapacityError):
+        with pytest.raises(CapacityError):
             build_cover(complex_, [], limit=50)

@@ -120,6 +120,16 @@ class TestSolve:
         with pytest.raises(ShapeError):
             solve(MatrixGFp.identity(2, 3), [1, 0])
 
+    @pytest.mark.parametrize("b", [[1.5, 2.2], [1.0, 0], [2**64, 0], [-(2**63) - 1, 0]])
+    def test_non_integer_or_oversized_entries_rejected(self, b):
+        # a cast to int64 used to truncate 1.5 to 1 and 2.2 to 2
+        with pytest.raises(ValueError):
+            solve(MatrixGFp.identity(3, 2), b)
+
+    def test_bool_and_integer_entries_accepted(self):
+        assert solve(MatrixGFp.identity(3, 2), [True, -1]) == [1, 2]
+        assert solve(MatrixGFp.identity(3, 2), np.array([4, 5], dtype=np.uint8)) == [1, 2]
+
     def test_solution_verifies(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
@@ -205,6 +215,19 @@ class TestInputReduction:
     def test_entries_beyond_64_bits_rejected(self, build):
         with pytest.raises(ValueError):
             build()
+
+    @pytest.mark.parametrize(
+        "vector", [[0.5, 1.9], [1.0, 0], [np.float32(1), 0], [2**64, 0], [0, -(2**63) - 1]]
+    )
+    def test_apply_rejects_non_integer_or_oversized_entries(self, vector):
+        # a cast to int64 used to truncate [0.5, 1.9] to [0, 1]
+        with pytest.raises(ValueError):
+            MatrixGFp.identity(2, 2).apply(vector)
+
+    def test_apply_accepts_bools_and_integers(self):
+        m = MatrixGFp.identity(3, 3)
+        assert m.apply([True, -1, 2**62]) == [1, 2, 2**62 % 3]
+        assert m.apply(np.array([3, 4, 5], dtype=np.uint64)) == [0, 1, 2]
 
 
 class TestElementAccess:

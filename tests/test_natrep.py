@@ -98,6 +98,16 @@ class TestO3Split:
         with pytest.raises(ValueError):
             o3_split_dims(t0.geometry, bad)
 
+    def test_o3_outside_the_action_generators_rejected(self, t0):
+        # the inverse scalar has order 3 but is not one of the generators
+        # whose images the action holds
+        from dataclasses import replace
+
+        inverse = t0.o3_generator.inverse()
+        assert inverse not in t0.action.group.generators
+        with pytest.raises(ValueError, match="not a generator of the construction's action"):
+            o3_split_dims(t0.geometry, replace(t0, o3_generator=inverse))
+
     def test_trivial_action_on_um_gives_zero_commutant(self):
         # complete tripartite point-line system: all a_i collapse in UM, so
         # the fiber rotation acts trivially there and the split is (0, dim)

@@ -37,6 +37,8 @@ from oracles import (
     minimal_normal_by_enumeration,
     naive_group_elements,
     naive_minimal_normal_orders,
+    normal_closure_by_rebuild,
+    setwise_stabilizer_by_rebuild,
 )
 
 
@@ -585,3 +587,76 @@ class TestProperties:
         rng = Random(data.draw(st.integers(0, 2**32)))
         for _ in range(5):
             assert chain.sample(rng).images in elements
+
+
+class TestChainGrowth:
+    """``StabilizerChain.extend`` and the reads that replace the chain
+    layout outside perm.py, against enumeration and against the loops that
+    rebuilt a chain for every kept generator."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        _generating_sets(max_degree=8),
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=3),
+    )
+    def test_extend_matches_group_of_generators(self, gens, products):
+        perms = [Permutation(g) for g in gens]
+        perms += [perms[i % len(perms)] * perms[j % len(perms)] for i, j in products]
+        degree = len(gens[0])
+        chain = StabilizerChain(degree, [])
+        new = []
+        for i, g in enumerate(perms):
+            held = naive_group_elements([p.images for p in perms[:i]] or [range(degree)])
+            is_new = g.images not in held
+            assert chain.extend(g) == is_new
+            if is_new:
+                new.append(g)
+        assert chain.generators == new
+        elements = naive_group_elements([p.images for p in perms])
+        assert chain.order() == len(elements) == PermutationGroup(perms).order()
+        assert all(chain.contains(Permutation(x)) for x in elements)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_generating_sets(max_degree=7), st.data())
+    def test_setwise_stabilizer_matches_rebuild(self, gens, data):
+        group = PermutationGroup([Permutation(g) for g in gens])
+        points = data.draw(st.lists(st.integers(0, group.degree - 1), min_size=1, max_size=4))
+        stab = group.stabilizer(points, mode="setwise")
+        expected = setwise_stabilizer_by_rebuild(group, points)
+        assert list(stab.generators) == (expected or [Permutation.identity(group.degree)])
+        fixing = [x for x in naive_group_elements(gens) if {x[p] for p in points} == set(points)]
+        assert stab.order() == len(fixing)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_generating_sets(max_degree=7), st.data())
+    def test_normal_closure_matches_rebuild(self, gens, data):
+        group = PermutationGroup([Permutation(g) for g in gens])
+        seeds = [
+            Permutation(x)
+            for x in data.draw(st.lists(st.permutations(range(group.degree)), max_size=2))
+        ]
+        closure = group.normal_closure(seeds)
+        expected = normal_closure_by_rebuild(group, seeds)
+        assert list(closure.generators) == (expected or [Permutation.identity(group.degree)])
+        assert closure.order() == StabilizerChain(group.degree, closure.generators).order()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_generating_sets(max_degree=8), st.data())
+    def test_level_stabilizer_order_is_certified(self, gens, data):
+        degree = len(gens[0])
+        prefix = data.draw(st.lists(st.integers(0, degree - 1), unique=True, max_size=degree))
+        chain = StabilizerChain(degree, [Permutation(g) for g in gens], base_prefix=prefix)
+        elements = naive_group_elements(gens)
+        for k in range(len(prefix) + 2):
+            stab = chain.stabilizer(k)
+            assert stab.order() == StabilizerChain(degree, stab.generators).order()
+            if k <= len(prefix):
+                fixed = prefix[:k]
+                assert stab.order() == sum(all(x[p] == p for p in fixed) for x in elements)
+
+    def test_representative_sends_first_base_point(self):
+        group = PermutationGroup.alternating(6)
+        chain = group.base_chain([2])
+        for q in group.point_orbit(2):
+            assert chain.representative(q).images[2] == q
+            assert group.contains(chain.representative(q))
