@@ -182,22 +182,18 @@ def _swap_bit_pairs(y: int) -> int:
     return ((y & _PAIR_MASK) << 1) | ((y >> 1) & _PAIR_MASK)
 
 
-def _symplectic_form(x: int, y: int, n: int) -> int:
-    # hyperbolic pairs on adjacent bit positions; n only bounds the width
-    return (x & _swap_bit_pairs(y)).bit_count() & 1
-
-
 def symplectic_transvections(n: int) -> list[Permutation]:
     """All transvections x -> x + <x,v>v of the standard symplectic GF(2)^2n,
-    as permutations of the nonzero vectors."""
-    dim = 2 * n
-    size = 1 << dim
+    as permutations of the nonzero vectors.  The hyperbolic pairs sit on
+    adjacent bit positions, so <x,v> is the parity of x & swap(v); each
+    transvection is an involution, hence a bijection by construction."""
+    size = 1 << (2 * n)
     out = []
     for v in range(1, size):
-        images = [0] * (size - 1)
-        for x in range(1, size):
-            images[x - 1] = (x ^ (v if _symplectic_form(x, v, n) else 0)) - 1
-        out.append(Permutation(images))
+        w = _swap_bit_pairs(v)
+        out.append(Permutation._trusted(tuple(
+            (x ^ v if (x & w).bit_count() & 1 else x) - 1 for x in range(1, size)
+        )))
     return out
 
 

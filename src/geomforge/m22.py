@@ -28,7 +28,7 @@ from .build import (
     subgroup_pattern_geometry,
 )
 from .geom import element_action, is_flag_transitive, is_geometry
-from .perm import Permutation, PermutationGroup
+from .perm import GroupAction, Permutation, PermutationGroup
 
 __all__ = [
     "GolayCode",
@@ -196,14 +196,17 @@ def _cocode_quotient_action(code: GolayCode, group: PermutationGroup):
     def from_h(h: int) -> int:
         return (h & ((1 << k) - 1)) | ((h >> k) << (k + 1))
 
-    h_gens = []
+    images = []
     for g in group.generators:
-        images = [0] * 2047
+        row = [0] * 2047
         for h in range(1, 2048):
             moved = _apply_perm_to_mask(g, code.representative(from_h(h)))
-            images[h - 1] = to_h(code.syndrome(moved)) - 1
-        h_gens.append(Permutation(images))
-    return PermutationGroup(h_gens, name="AutM22-cocode"), to_h
+            row[h - 1] = to_h(code.syndrome(moved)) - 1
+        images.append(row)
+    # the image carries Aut(M22)'s certified order as the bound on its chains
+    module_group = GroupAction(group, range(1, 2048), images).image_group()
+    module_group.name = "AutM22-cocode"
+    return module_group, to_h
 
 
 def _find_heptad_subspace(code: GolayCode, to_h) -> tuple[int, ...]:

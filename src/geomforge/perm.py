@@ -257,8 +257,11 @@ class _ChainLevel:
 
 
 class StabilizerChain:
-    """Randomized Schreier-Sims chain with a deterministic seed and a final
-    Schreier-generator verification pass, so reported orders are certified.
+    """Randomized Schreier-Sims chain with a deterministic seed, whose order is
+    certified by a final Schreier-generator verification pass or by reaching
+    ``order_bound``, a certified upper bound on the group order: a partial
+    chain's order never exceeds the group order, so one that reaches the
+    bound is complete (Seress, *Permutation Group Algorithms*, 2003, section 4.5).
 
     ``base_prefix`` forces the chain base to start with the given points,
     which makes pointwise stabilizers directly readable off the chain
@@ -275,6 +278,7 @@ class StabilizerChain:
         base_prefix: Sequence[int] = (),
         seed: int = 1,
         order_limit: Optional[int] = None,
+        order_bound: Optional[int] = None,
     ):
         self.degree = degree
         self.generators = [g for g in generators if not g.is_identity()]
@@ -282,6 +286,7 @@ class StabilizerChain:
         self._rng = Random(seed)
         self._base_prefix = list(base_prefix)
         self._order_limit = order_limit
+        self._order_bound = order_bound
         self.aborted = False
         self._build()
 
@@ -290,7 +295,7 @@ class StabilizerChain:
     def _build(self) -> None:
         for g in self.generators:
             self._add_generator(g, 0)
-            if self._over_limit():
+            if self._done():
                 return
         if not self.generators:
             return
@@ -300,19 +305,23 @@ class StabilizerChain:
             g = sampler.sample()
             if self._add_generator(g, 0):
                 quiet = 0
-                if self._over_limit():
+                if self._done():
                     return
             else:
                 quiet += 1
         while not self._verify():
-            if self._over_limit():
+            if self._done():
                 return
 
-    def _over_limit(self) -> bool:
-        if self._order_limit is not None and self.order() > self._order_limit:
+    def _done(self) -> bool:
+        """Whether the build can stop: the order passed ``order_limit`` (the
+        build is aborted), or it reached ``order_bound``, so the chain is
+        complete and further samples and ``_verify`` would add nothing."""
+        order = self.order()
+        if self._order_limit is not None and order > self._order_limit:
             self.aborted = True
             return True
-        return False
+        return order == self._order_bound
 
     def _sift(self, g: Permutation, start: int = 0) -> tuple[Permutation, int]:
         """Reduce g through the chain; returns (residue, failing level)."""
@@ -416,7 +425,7 @@ class StabilizerChain:
 
     def stabilizer(self, k: int) -> "PermutationGroup":
         """The subgroup at level k, which fixes the first k base points, with
-        its order read off this verified chain.  Level k always carries
+        its order read off this certified chain.  Level k always carries
         base-prefix point k (new levels take prefix points in order), so for
         k up to the prefix length this is the pointwise stabilizer of the
         first k prefix points; a shorter chain means it is trivial."""
@@ -432,7 +441,7 @@ class StabilizerChain:
         return self.levels[0].inverses[q].inverse()
 
     def sample(self, rng: Random) -> Permutation:
-        """Uniform random element (valid because the chain is verified).
+        """Uniform random element (valid because the chain is complete).
 
         Sifting factors every element as (deep part) * (level-0 rep), so the
         transversal representatives compose deepest level first."""
@@ -474,8 +483,10 @@ class _ProductReplacer:
 
 
 class PermutationGroup:
-    """A group given by permutation generators, with a cached verified
-    stabilizer chain.  Immutable after construction."""
+    """A group given by permutation generators, with a cached certified
+    stabilizer chain.  Its chains are bounded by the order once certified,
+    else by the acting group's order for an action image; ``expected_order``
+    is checked against a chain, never trusted.  Immutable after construction."""
 
     def __init__(
         self,
@@ -499,6 +510,7 @@ class PermutationGroup:
         self.name = name
         self._chain: Optional[StabilizerChain] = None
         self._verified_order: Optional[int] = None
+        self._order_bound: Optional[int] = None
         if expected_order is not None and self.order() != expected_order:
             raise ValueError(
                 f"group order {self.order()} does not match expected {expected_order}"
@@ -508,8 +520,8 @@ class PermutationGroup:
     def _certified(
         cls, generators: Sequence[Permutation], degree: int, order: int
     ) -> "PermutationGroup":
-        """The group on ``generators`` whose order a verified chain has
-        already certified; its own chain is built only when asked for."""
+        """The group on ``generators`` whose order a chain has already
+        certified; its own chains are built only when asked for."""
         group = cls(generators, degree=degree)
         group._verified_order = order
         return group
@@ -539,12 +551,13 @@ class PermutationGroup:
 
     def chain(self) -> StabilizerChain:
         if self._chain is None:
-            self._chain = StabilizerChain(self.degree, self.generators)
+            self._chain = self.base_chain(())
         return self._chain
 
     def base_chain(self, points: Sequence[int]) -> StabilizerChain:
-        """A new verified chain whose base starts with ``points``."""
-        return StabilizerChain(self.degree, self.generators, base_prefix=points)
+        """A new certified chain whose base starts with ``points``."""
+        bound = self._verified_order or self._order_bound
+        return StabilizerChain(self.degree, self.generators, points, order_bound=bound)
 
     def order(self) -> int:
         if self._verified_order is None:
@@ -722,10 +735,13 @@ class GroupAction:
         ]
 
     def image_group(self) -> PermutationGroup:
-        """The permutation group induced on the domain (the action image)."""
+        """The permutation group induced on the domain (the action image),
+        whose chains the acting group's certified order bounds."""
         # __init__ checked that every image is a bijection of the domain
         gens = [Permutation._trusted(img) for img in self.images]
-        return PermutationGroup(gens, degree=len(self.domain), name=None)
+        image = PermutationGroup(gens, degree=len(self.domain))
+        image._order_bound = self.group.order()
+        return image
 
     def restricted(self, labels: Sequence) -> "GroupAction":
         """Action induced on an invariant subset of the domain."""

@@ -332,6 +332,27 @@ def naive_subspaces(vectors, k):
     return out
 
 
+def symplectic_form(x, y, n):
+    """The standard symplectic form on GF(2)^2n, bit by bit: bits 2i and
+    2i + 1 of each vector form a hyperbolic pair."""
+    return sum(
+        (x >> 2 * i & 1) * (y >> 2 * i + 1 & 1) + (x >> 2 * i + 1 & 1) * (y >> 2 * i & 1)
+        for i in range(n)
+    ) & 1
+
+
+def symplectic_transvections_by_form(n):
+    """The transvections x -> x + <x,v>v of GF(2)^2n, v in vector order, as
+    permutations of the nonzero vectors built through the checking
+    constructor with the form taken point by point.  Reference for
+    ``geomforge.build.symplectic_transvections``."""
+    size = 1 << (2 * n)
+    return [
+        Permutation([(x ^ v if symplectic_form(x, v, n) else x) - 1 for x in range(1, size)])
+        for v in range(1, size)
+    ]
+
+
 def isotropic_subspaces_by_growth(n):
     """The nonzero totally isotropic subspaces of GF(2)^2n, one sorted list
     of sorted vector tuples per dimension 1..n, grown dimension by dimension:
@@ -340,20 +361,13 @@ def isotropic_subspaces_by_growth(n):
     bits 2i and 2i + 1.  This is the growth loop that
     ``geomforge.build.symplectic_polar_space`` ran before echelon growth,
     kept as the reference for ``geomforge.build._isotropic_subspaces``."""
-
-    def form(x, y):
-        return sum(
-            (x >> 2 * i & 1) * (y >> 2 * i + 1 & 1) + (x >> 2 * i + 1 & 1) * (y >> 2 * i & 1)
-            for i in range(n)
-        ) & 1
-
     size = 1 << (2 * n)
     by_dim = [[(v,) for v in range(1, size)]]
     for _ in range(n - 1):
         grown = set()
         for sub in by_dim[-1]:
             for v in range(1, size):
-                if v not in sub and all(form(v, u) == 0 for u in sub):
+                if v not in sub and all(symplectic_form(v, u, n) == 0 for u in sub):
                     grown.add(tuple(sorted(naive_span([*sub, v]) - {0})))
         by_dim.append(sorted(grown))
     return by_dim

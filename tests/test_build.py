@@ -17,7 +17,12 @@ from geomforge.geom import (
 from geomforge.graphs import girth
 from geomforge.natrep import um_dimension, verify_natural_representation
 from geomforge.perm import PermutationGroup
-from oracles import bfs_girth, isotropic_subspaces_by_growth, subspace_count
+from oracles import (
+    bfs_girth,
+    isotropic_subspaces_by_growth,
+    subspace_count,
+    symplectic_transvections_by_form,
+)
 
 
 class TestPetersen:
@@ -116,6 +121,15 @@ class TestSymplectic:
         for i in range(1, n + 1):
             order *= 4**i - 1
         assert PermutationGroup(gens).order() == order
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_transvections_match_checked_construction(self, n):
+        built = build.symplectic_transvections(n)
+        expected = symplectic_transvections_by_form(n)
+        assert len(built) == len(expected) == 4**n - 1
+        for t, e in zip(built, expected):
+            assert t.images == e.images
+            assert all(type(x) is int for x in t.images)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_generators_match_rebuilt_pick(self, n):

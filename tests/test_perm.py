@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import geomforge.perm as perm_module
 from geomforge import local
-from geomforge.build import gamma_l3_4, symplectic_transvections
+from geomforge.build import gamma_l3_4, symplectic_generators, symplectic_transvections
 from geomforge.perm import (
     CapacityError,
     ClosureError,
@@ -473,7 +473,7 @@ class TestTrustedCore:
     constructor: only the generators a caller builds are checked."""
 
     @pytest.mark.parametrize("make, order", [
-        (lambda: symplectic_transvections(3), 1451520),
+        (lambda: [Permutation(t.images) for t in symplectic_transvections(3)], 1451520),
         (lambda: PermutationGroup.symmetric(8).generators, 40320),
     ], ids=["sp6-2", "s8"])
     def test_chain_validates_only_its_generators(self, monkeypatch, make, order):
@@ -660,3 +660,107 @@ class TestChainGrowth:
         for q in group.point_orbit(2):
             assert chain.representative(q).images[2] == q
             assert group.contains(chain.representative(q))
+
+
+def _pair_partitions_of_4() -> GroupAction:
+    """S4 on its 3 partitions into two pairs: the kernel is V4, so the
+    image has order 6 while the acting group's order is 24."""
+    parts = [
+        frozenset([frozenset(a), frozenset(b)])
+        for a, b in [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
+    ]
+    return induced_action(
+        PermutationGroup.symmetric(4),
+        parts,
+        lambda g, part: frozenset(frozenset(g.images[x] for x in pair) for pair in part),
+    )
+
+
+def _on_pairs(group: PermutationGroup) -> GroupAction:
+    return induced_action(group, combinations(range(group.degree), 2), pair_rule)
+
+
+def _assert_same_chain(chain, reference):
+    assert [lv.base for lv in chain.levels] == [lv.base for lv in reference.levels]
+    assert [lv.inverses for lv in chain.levels] == [lv.inverses for lv in reference.levels]
+    assert [lv.gens for lv in chain.levels] == [lv.gens for lv in reference.levels]
+    assert chain.order() == reference.order()
+    for k in range(len(reference.levels) + 1):
+        assert chain.stabilizer(k).order() == reference.stabilizer(k).order()
+
+
+class TestOrderBound:
+    """A chain given a certified upper bound on the group order stops once
+    its order reaches the bound.  It must come out level for level as the
+    chain that the verification pass certifies, and the bound must never
+    come from input."""
+
+    @staticmethod
+    def _check_against_unbounded(action, prefix):
+        image = action.image_group()
+        reference = StabilizerChain(image.degree, image.generators, base_prefix=prefix)
+        _assert_same_chain(image.base_chain(prefix), reference)
+        exact = PermutationGroup._certified(image.generators, image.degree, reference.order())
+        _assert_same_chain(exact.base_chain(prefix), reference)
+        assert image.order() == reference.order() <= action.group.order()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        _generating_sets(max_degree=8),
+        st.sampled_from(["points", "orbit", "pairs"]),
+        st.data(),
+    )
+    def test_bounded_chain_equals_verified_chain(self, gens, domain, data):
+        # the image on one orbit, or on the pairs of a degree-2 group, is
+        # often unfaithful, so its bound is never reached
+        group = PermutationGroup([Permutation(g) for g in gens])
+        action = natural_action(group)
+        if domain == "orbit":
+            point = data.draw(st.integers(0, group.degree - 1))
+            action = action.restricted(group.point_orbit(point))
+        elif domain == "pairs" and group.degree >= 2:
+            action = _on_pairs(group)
+        size = len(action.domain)
+        prefix = data.draw(st.lists(st.integers(0, size - 1), unique=True, max_size=size))
+        self._check_against_unbounded(action, prefix)
+
+    @pytest.mark.parametrize("prefix", [[], [0], [2, 1], [0, 1, 2]])
+    def test_unfaithful_image_matches_verified_chain(self, prefix):
+        action = _pair_partitions_of_4()
+        assert action.image_group().order() == 6
+        self._check_against_unbounded(action, prefix)
+
+    @pytest.mark.parametrize("make, order, outcomes", [
+        (lambda: _on_pairs(PermutationGroup.symmetric(5)), 120, []),
+        (_pair_partitions_of_4, 6, [True]),
+        (lambda: natural_action(PermutationGroup(symplectic_generators(3))), 1451520, [False] * 3),
+    ], ids=["s5-on-pairs-faithful", "s4-on-partitions-unfaithful", "sp6-2-bound-met-in-verify"])
+    def test_reached_bound_skips_verification(self, monkeypatch, make, order, outcomes):
+        # an unfaithful image never reaches its bound and runs the one
+        # passing verification it ran before the bound existed.  The
+        # Sp6(2) sampler stays in a subgroup, so _verify finds witnesses
+        # until the bound is met, and the final pass that would confirm the
+        # chain (the fourth, before the bound existed) is skipped
+        image = make().image_group()  # the acting group's own chain is built here
+        passed = []
+        verify = StabilizerChain._verify
+        monkeypatch.setattr(StabilizerChain, "_verify", lambda chain: passed.append(verify(chain)) or passed[-1])
+        assert image.order() == order
+        assert passed == outcomes
+
+    @pytest.mark.parametrize("n, false_order", [(5, 40), (6, 360)])
+    def test_expected_order_is_never_a_bound(self, tmp_path, n, false_order):
+        gens = PermutationGroup.symmetric(n).generators
+        # a chain trusts its bound: given this false one, it stops short
+        assert StabilizerChain(n, gens, order_bound=false_order).order() == false_order
+        with pytest.raises(ValueError):
+            PermutationGroup(gens, expected_order=false_order)
+        path = tmp_path / "g.json"
+        payload = {
+            "degree": n,
+            "generators": [list(g.images) for g in gens],
+            "expected_order": false_order,
+        }
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
+            load_group(path)
