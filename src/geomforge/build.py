@@ -32,6 +32,7 @@ from .perm import (
     PermutationGroup,
     StabilizerChain,
     SubgroupPredicate,
+    _as_point,
     _closure,
     induced_action,
     subgroup_search,
@@ -248,7 +249,7 @@ def _isotropic_subspaces(n: int) -> list[list[tuple[int, ...]]]:
     return by_dim
 
 
-def symplectic_polar_space(n: int, rank_bound: int = SYMPLECTIC_RANK_BOUND) -> ConstructionMetadata:
+def symplectic_polar_space(n: int) -> ConstructionMetadata:
     """Nonzero totally isotropic subspaces of GF(2)^2n typed by dimension,
     each made once by echelon growth (:func:`_isotropic_subspaces`), with
     Sp_2n(2) generated by the transvections of :func:`symplectic_generators`;
@@ -256,8 +257,8 @@ def symplectic_polar_space(n: int, rank_bound: int = SYMPLECTIC_RANK_BOUND) -> C
     flag-transitivity are verified at build time for 2 <= n <= 3."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > rank_bound:
-        raise CapacityError(f"symplectic rank {n} above bound {rank_bound}")
+    if n > SYMPLECTIC_RANK_BOUND:
+        raise CapacityError(f"symplectic rank {n} above bound {SYMPLECTIC_RANK_BOUND}")
     by_dim = _isotropic_subspaces(n)
     elements = []
     for d, subs in enumerate(by_dim, start=1):
@@ -302,6 +303,9 @@ class SubgroupPatternInput:
             raise ValueError(
                 f"group degree {self.group.degree} does not match 2^{self.dim_h}-1"
             )
+        for p in self.subspace_points:
+            if not 0 <= _as_point(p) < expected:
+                raise ValueError(f"subspace point {p!r} outside 0..{expected - 1}")
         span = _span([p + 1 for p in self.subspace_points])
         if set(span) != {p + 1 for p in self.subspace_points}:
             raise ValueError("subspace_points is not closed under addition")
@@ -311,24 +315,24 @@ def _apply_points(g: Permutation, sub: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(g.images[p] for p in sub))
 
 
+def _points_orbit(group: PermutationGroup, seeds) -> list[tuple[int, ...]]:
+    """The closure of sorted point tuples (point sets) under the generators."""
+    return _closure(seeds, lambda sub: [_apply_points(g, sub) for g in group.generators])
+
+
 def normalizer_induces_full_linear_group(
     group: PermutationGroup, subspace_points: Sequence[int]
 ) -> bool:
-    """Check the construction precondition: the setwise stabilizer of E must
-    induce the whole of GL(E) on E."""
-    points = sorted(subspace_points)
-    normalizer = group.stabilizer(points, mode="setwise")
-    induced = induced_action(normalizer, points, lambda g, p: g.images[p])
-    order = induced.image_group().order()
+    """Check the construction precondition: the setwise stabilizer N of E
+    must induce the whole of GL(E) on E.  N induces N / G_(E), where G_(E)
+    fixes E pointwise, and |N| = |G| / |E^G| by orbit-stabilizer, so this
+    is |G| == |GL(E)| * |E^G| * |G_(E)|, with |G_(E)| read off one chain."""
+    points = sorted(set(subspace_points))
+    order = group.order()  # first, so that it bounds the chain below
+    fixed = group.base_chain(points).stabilizer(len(points)).order()
+    orbit = _points_orbit(group, [tuple(points)])
     dim = _subspace_dim(points)
-    return order == _gl_order(dim)
-
-
-def _gl_order(n: int) -> int:
-    out = 1
-    for i in range(n):
-        out *= (1 << n) - (1 << i)
-    return out
+    return order == prod((1 << dim) - (1 << i) for i in range(dim)) * len(orbit) * fixed
 
 
 def subgroup_pattern_geometry(pattern: SubgroupPatternInput) -> Geometry:
@@ -346,10 +350,7 @@ def subgroup_pattern_geometry(pattern: SubgroupPatternInput) -> Geometry:
     elements = []
     for d in range(1, dim_e + 1):
         # the d-subspaces of E as points, closed under the generators
-        orbit = _closure(
-            (tuple(v - 1 for v in s) for s in _subspaces(e_vectors, d)),
-            lambda sub: [_apply_points(g, sub) for g in group.generators],
-        )
+        orbit = _points_orbit(group, (tuple(v - 1 for v in s) for s in _subspaces(e_vectors, d)))
         elements.extend((s, d) for s in sorted(orbit))
     return Geometry(dim_e, elements, _containment_incidences([s for s, _ in elements]))
 
@@ -459,9 +460,7 @@ def tilde_geometry(seed: int) -> ConstructionMetadata:
         raise ConstructionError("tilde action is not flag-transitive")
 
     # quotient by the scalar subgroup must 1-cover GQ(2,2)
-    o3_action = induced_action(
-        PermutationGroup([scalar], name="O3"), geometry.elements, _apply_points
-    )
+    o3_action = induced_action(scalar_group, geometry.elements, _apply_points)
     quotient, morphism = quotient_by_action(geometry, o3_action)
     q_verdict = is_geometry(quotient)
     if not q_verdict.ok:

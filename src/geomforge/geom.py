@@ -17,7 +17,7 @@ from itertools import combinations, groupby
 from typing import Iterable, Optional, Sequence
 
 from .graphs import Graph, graph_isomorphism
-from .perm import CapacityError, GroupAction, PermutationGroup, _closure, label_key
+from .perm import CapacityError, GroupAction, PermutationGroup, _closure, _tuple_step, label_key
 
 __all__ = [
     "Geometry",
@@ -415,10 +415,8 @@ def is_flag_transitive(g: Geometry, action: GroupAction) -> bool:
         return False
     # flags list their elements in type order, and the action preserves
     # types, so a flag's image is again in type order
-    images = action.images
     start = tuple(action.index[e] for e in flags[0])
-    orbit = _closure([start], lambda flag: [tuple([img[i] for i in flag]) for img in images])
-    return len(orbit) == len(flags)
+    return len(_closure([start], _tuple_step(action.images))) == len(flags)
 
 
 # ---------------------------------------------------------------------------
@@ -711,24 +709,23 @@ class AmalgamReport:
 
 def amalgam_report(g: Geometry, action: GroupAction, flag: Sequence) -> AmalgamReport:
     """Orders of the maximal parabolics (flag-element stabilizers in the
-    action image), their pairwise intersections and the Borel subgroup."""
+    action image), their pairwise intersections and the Borel subgroup, by
+    orbit-stabilizer: the pointwise stabilizer of a tuple of elements has
+    order |image| / |orbit of the tuple|, so the image's chain is the only
+    one built."""
     if not is_flag_transitive(g, action):
         raise ActionError("amalgam report requires a flag-transitive action")
     flag = tuple(sorted(flag, key=label_key))
     if len(flag) != g.rank or not g.is_flag(flag):
         raise FlagError("amalgam report requires a maximal flag")
-    image = action.image_group()
-    position = {e: i for i, e in enumerate(action.domain)}
-    by_type = {g.type_of[e]: position[e] for e in flag}
-    parabolic = {
-        t: image.stabilizer([idx], mode="pointwise").order() for t, idx in by_type.items()
-    }
-    intersections = {}
+    image_order = action.image_group().order()
+    step = _tuple_step(action.images)
+    by_type = {g.type_of[e]: action.index[e] for e in flag}
     types = sorted(by_type)
-    for a in range(len(types)):
-        for b in range(a + 1, len(types)):
-            i, j = types[a], types[b]
-            sub = image.stabilizer([by_type[i], by_type[j]], mode="pointwise")
-            intersections[(i, j)] = sub.order()
-    borel = image.stabilizer([by_type[t] for t in types], mode="pointwise").order()
-    return AmalgamReport(flag, parabolic, intersections, borel, image.order())
+
+    def order(*ts):
+        return image_order // len(_closure([tuple(by_type[t] for t in ts)], step))
+
+    parabolic = {t: order(t) for t in types}
+    intersections = {(i, j): order(i, j) for i, j in combinations(types, 2)}
+    return AmalgamReport(flag, parabolic, intersections, order(*types), image_order)

@@ -17,6 +17,7 @@ from .perm import (
     GroupAction,
     PermutationGroup,
     _closure,
+    _tuple_step,
     induced_action,
     label_key,
 )
@@ -254,8 +255,7 @@ def _is_doubly_transitive(group: PermutationGroup, degree: int) -> bool:
     """The ordered pairs of distinct points form one orbit."""
     if degree < 2:
         return False
-    images = [g.images for g in group.generators]
-    orbit = _closure([(0, 1)], lambda pair: [(img[pair[0]], img[pair[1]]) for img in images])
+    orbit = _closure([(0, 1)], _tuple_step([g.images for g in group.generators]))
     return len(orbit) == degree * (degree - 1)
 
 

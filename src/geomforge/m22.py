@@ -28,7 +28,7 @@ from .build import (
     subgroup_pattern_geometry,
 )
 from .geom import element_action, is_flag_transitive, is_geometry
-from .perm import GroupAction, Permutation, PermutationGroup
+from .perm import GroupAction, Permutation, PermutationGroup, StabilizerChain
 
 __all__ = [
     "GolayCode",
@@ -175,8 +175,11 @@ def aut_m22(seed: int) -> PermutationGroup:
     chain = stab.chain()
     for _ in range(200):
         a, b = chain.sample(rng), chain.sample(rng)
-        candidate = PermutationGroup([a, b], name="AutM22")
-        if candidate.order() == AUT_M22_ORDER:
+        # <a, b> <= stab, so stab's certified order bounds the pair's chain
+        pair_chain = StabilizerChain(stab.degree, [a, b], order_bound=stab.order())
+        if pair_chain.order() == AUT_M22_ORDER:
+            candidate = PermutationGroup([a, b], name="AutM22")
+            candidate._chain = pair_chain
             return candidate
     return stab
 

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 ELEMENT_ENUMERATION_BOUND = 200_000
+SAMPLER_SLOTS = 8  # identity slots added to the product-replacement reservoir
 
 
 class DomainError(ValueError):
@@ -86,6 +87,11 @@ def _closure(seeds: Iterable, step: Callable[[object], Iterable]) -> list:
 def _image_step(images: Sequence[Sequence[int]]) -> Callable[[int], list[int]]:
     """A ``_closure`` step: the images of a point under each image tuple."""
     return lambda p: [img[p] for img in images]
+
+
+def _tuple_step(images: Sequence[Sequence[int]]) -> Callable[[tuple], list[tuple]]:
+    """A ``_closure`` step: the images of a tuple of points under each image tuple."""
+    return lambda t: [tuple([img[p] for p in t]) for img in images]
 
 
 def _orbit_partition(size: int, images: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -302,7 +308,7 @@ class StabilizerChain:
         sampler = _ProductReplacer(self.generators, self._rng)
         quiet = 0
         while quiet < 12:
-            g = sampler.sample()
+            g = sampler.stir()
             if self._add_generator(g, 0):
                 quiet = 0
                 if self._done():
@@ -455,15 +461,16 @@ class StabilizerChain:
 class _ProductReplacer:
     """Rattle-style pseudo-random element generator over a generating set."""
 
-    def __init__(self, gens: Sequence[Permutation], rng: Random, slots: int = 8):
+    def __init__(self, gens: Sequence[Permutation], rng: Random):
         degree = gens[0].degree
         self.rng = rng
-        self.reservoir = list(gens) + [Permutation.identity(degree)] * slots
+        self.reservoir = list(gens) + [Permutation.identity(degree)] * SAMPLER_SLOTS
         self.accumulator = Permutation.identity(degree)
         for _ in range(max(40, 5 * len(gens))):
-            self._stir()
+            self.stir()
 
-    def _stir(self) -> Permutation:
+    def stir(self) -> Permutation:
+        """One product-replacement step; returns the next sample."""
         rng = self.rng
         i = rng.randrange(len(self.reservoir))
         j = rng.randrange(len(self.reservoir))
@@ -473,9 +480,6 @@ class _ProductReplacer:
         self.reservoir[j] = self.reservoir[j] * p
         self.accumulator = self.accumulator * self.reservoir[j]
         return self.accumulator
-
-    def sample(self) -> Permutation:
-        return self._stir()
 
 
 # ---------------------------------------------------------------------------
@@ -605,15 +609,12 @@ class PermutationGroup:
         if not points:
             return self
         if mode == "pointwise":
-            return self._pointwise_stabilizer(list(points))
+            stab = self.base_chain(points).stabilizer(len(points))
+            stab.name = None if self.name is None else f"{self.name}_{list(points)}"
+            return stab
         if mode == "setwise":
             return self._setwise_stabilizer(sorted(set(points)))
         raise ValueError(f"unknown stabilizer mode: {mode!r}")
-
-    def _pointwise_stabilizer(self, points: list[int]) -> "PermutationGroup":
-        stab = self.base_chain(points).stabilizer(len(points))
-        stab.name = None if self.name is None else f"{self.name}_{points}"
-        return stab
 
     def _setwise_stabilizer(self, points: list[int]) -> "PermutationGroup":
         # Schreier generators of the induced action on the orbit of the set,

@@ -6,10 +6,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import numpy as np
 
-from geomforge.perm import Permutation, PermutationGroup, StabilizerChain, label_key
+from geomforge.perm import (
+    Permutation,
+    PermutationGroup,
+    StabilizerChain,
+    induced_action,
+    label_key,
+)
 
 
 def naive_rank(rows, p):
@@ -258,6 +265,36 @@ def setwise_stabilizer_by_rebuild(group, points):
             if chain.order() == target:
                 return kept
     return kept
+
+
+def normalizer_induces_gl_by_setwise(group, points):
+    """Whether the setwise stabilizer of the point set E induces a group of
+    order |GL(E)| on E, where E has 2^d - 1 points: the setwise stabilizer
+    is built, then its action on E and the image of that action.  The check
+    that ``geomforge.build.normalizer_induces_full_linear_group`` ran before
+    it counted orbits, kept as its reference."""
+    points = sorted(set(points))
+    normalizer = group.stabilizer(points, mode="setwise")
+    induced = induced_action(normalizer, points, lambda g, p: g.images[p])
+    dim = (len(points) + 1).bit_length() - 1
+    return induced.image_group().order() == prod((1 << dim) - (1 << i) for i in range(dim))
+
+
+def amalgam_orders_by_stabilizers(g, action, flag):
+    """The parabolic, pairwise intersection, Borel and image orders of a
+    maximal flag, each read off its own pointwise-stabilizer chain in the
+    action image.  The construction that ``geomforge.geom.amalgam_report``
+    ran before it counted orbits, kept as its reference."""
+    image = action.image_group()
+    by_type = {g.type_of[e]: action.index[e] for e in flag}
+    types = sorted(by_type)
+    parabolic = {t: image.stabilizer([by_type[t]]).order() for t in types}
+    intersections = {
+        (i, j): image.stabilizer([by_type[i], by_type[j]]).order()
+        for i, j in combinations(types, 2)
+    }
+    borel = image.stabilizer([by_type[t] for t in types]).order()
+    return parabolic, intersections, borel, image.order()
 
 
 def normal_closure_by_rebuild(group, seeds):

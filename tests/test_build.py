@@ -4,6 +4,8 @@ the subgroup-pattern machinery, the tilde geometry and the counting utility."""
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomforge import build
 from geomforge.geom import (
@@ -14,12 +16,14 @@ from geomforge.geom import (
     isomorphic,
     residue,
 )
+from geomforge.gf2 import _span
 from geomforge.graphs import girth
 from geomforge.natrep import um_dimension, verify_natural_representation
-from geomforge.perm import PermutationGroup
+from geomforge.perm import GroupAction, Permutation, PermutationGroup
 from oracles import (
     bfs_girth,
     isotropic_subspaces_by_growth,
+    normalizer_induces_gl_by_setwise,
     subspace_count,
     symplectic_transvections_by_form,
 )
@@ -220,6 +224,80 @@ class TestSubgroupPattern:
                 with pytest.raises(build.ConstructionError):
                     subgroup_pattern_geometry(pattern)
                 break
+
+
+def _linear_perm(rows, m):
+    """The invertible matrix with the given row masks as a permutation of
+    the 2^m - 1 nonzero vectors (vector v is point v - 1)."""
+    def image(v):
+        out = 0
+        for i in range(m):
+            if v >> i & 1:
+                out ^= rows[i]
+        return out
+
+    return Permutation([image(v) - 1 for v in range(1, 1 << m)])
+
+
+@st.composite
+def _linear_groups_with_subspace(draw):
+    """A subgroup of GL_m(2), m <= 4, on 0 to 3 random invertible generators
+    (no generator gives the trivial group), and a random nonzero subspace E
+    as the sorted points of its nonzero vectors."""
+    m = draw(st.integers(1, 4))
+    full = (1 << m) - 1
+    matrices = draw(st.lists(
+        st.lists(st.integers(1, full), min_size=m, max_size=m).filter(lambda rows: len(_span(rows)) == full),
+        max_size=3,
+    ))
+    group = PermutationGroup([_linear_perm(rows, m) for rows in matrices], degree=full)
+    spanning = draw(st.lists(st.integers(1, full), min_size=1, max_size=m))
+    return group, tuple(v - 1 for v in _span(spanning))
+
+
+class TestNormalizerCondition:
+    """|G| == |GL(E)| * |E^G| * |G_(E)| decides whether the setwise
+    stabilizer of E induces GL(E) on E, as building that stabilizer does."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_linear_groups_with_subspace())
+    def test_matches_setwise_oracle(self, case):
+        group, points = case
+        assert build.normalizer_induces_full_linear_group(group, points) == (
+            normalizer_induces_gl_by_setwise(group, points)
+        )
+
+    @pytest.mark.parametrize("m, points, expected", [
+        (3, tuple(range(7)), True),  # GL3(2) on the whole space
+        (3, (0, 1, 2), True),  # a line: its stabilizer induces GL2(2)
+        (1, (0,), True),  # GL1(2) is trivial
+    ])
+    def test_general_linear_group(self, m, points, expected):
+        group = build._general_linear_group(m)
+        assert build.normalizer_induces_full_linear_group(group, points) is expected
+
+    @pytest.mark.parametrize("points, expected", [((0,), True), ((0, 1, 2), False)])
+    def test_trivial_group(self, points, expected):
+        group = PermutationGroup.trivial(7)
+        assert build.normalizer_induces_full_linear_group(group, points) is expected
+
+    def test_builds_no_subgroup(self, monkeypatch, t0):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the check built a subgroup")
+
+        monkeypatch.setattr(PermutationGroup, "stabilizer", forbidden)
+        monkeypatch.setattr(GroupAction, "image_group", forbidden)
+        monkeypatch.setattr(build, "induced_action", forbidden)
+        group = PermutationGroup(t0.group.generators)
+        assert build.normalizer_induces_full_linear_group(group, t0.provenance["subspace"])
+
+    @pytest.mark.parametrize("points", [(3,), (6,), (-2,), (1.0,), ("1",)])
+    def test_pattern_rejects_point_outside_domain(self, points):
+        # GL2(2) acts on points 0..2; -2 would index image tuples from the end
+        with pytest.raises(ValueError):
+            build.SubgroupPatternInput(
+                group=build._general_linear_group(2), dim_h=2, subspace_points=points
+            )
 
 
 class TestTilde:

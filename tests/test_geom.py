@@ -33,8 +33,8 @@ from geomforge.geom import (
     truncation,
 )
 from geomforge.graphs import graph_isomorphism, petersen_graph
-from geomforge.perm import Permutation, PermutationGroup, induced_action, label_key
-from oracles import common_neighbor_edges, naive_rank2_class
+from geomforge.perm import Permutation, PermutationGroup, StabilizerChain, induced_action, label_key
+from oracles import amalgam_orders_by_stabilizers, common_neighbor_edges, naive_rank2_class
 
 
 def hexagon():
@@ -719,3 +719,42 @@ class TestAmalgam:
         report = amalgam_report(g, action, flag)
         assert report.parabolic_orders == {1: 6}
         assert report.image_order == 24
+
+    # sp 3 has 2,835 maximal flags and PG(3,2) 315; a report and its oracle
+    # take about 0.2 s per flag on sp 3, so those two are compared on every
+    # stride-th flag, and the others on every flag
+    @pytest.mark.parametrize("name, stride", [
+        ("p0", 1), ("gq22", 1), ("fano", 1), ("pg4", 5), ("sp3", 189), ("t0", 1), ("s4", 1),
+    ])
+    def test_matches_stabilizer_oracle(self, request, name, stride):
+        if name == "pg4":
+            meta = build.projective_geometry_2(4)
+            g, action = meta.geometry, meta.action
+        elif name == "s4":
+            # four points of type 1 with S4 permuting them
+            g = Geometry(1, [((i,), 1) for i in range(4)], [])
+            action = element_action(g, PermutationGroup.symmetric(4), lambda p, e: (p.images[e[0]],))
+        else:
+            meta = request.getfixturevalue(name)
+            g, action = meta.geometry, meta.action
+        for flag in g.maximal_flags()[::stride]:
+            report = amalgam_report(g, action, flag)
+            got = (report.parabolic_orders, report.intersection_orders,
+                   report.borel_order, report.image_order)
+            assert got == amalgam_orders_by_stabilizers(g, action, flag)
+
+    def test_builds_only_the_image_chain(self, monkeypatch, sp3):
+        # one stabilizer chain per parabolic, intersection and the Borel
+        # subgroup would make 7 more on sp 3
+        built = []
+        init = StabilizerChain.__init__
+        monkeypatch.setattr(
+            StabilizerChain, "__init__", lambda chain, *a, **k: built.append(1) or init(chain, *a, **k)
+        )
+        amalgam_report(sp3.geometry, sp3.action, sp3.geometry.maximal_flags()[0])
+        assert len(built) == 1
+
+    def test_rejects_action_that_is_not_flag_transitive(self, fano):
+        action = element_action(fano.geometry, PermutationGroup.trivial(7), lambda p, e: e)
+        with pytest.raises(ActionError):
+            amalgam_report(fano.geometry, action, fano.geometry.maximal_flags()[0])

@@ -7,7 +7,7 @@ from geomforge import build, local, m22
 from geomforge.geom import derived_graph, diagram, is_flag_transitive, is_geometry
 from geomforge.graphs import girth
 from geomforge.natrep import um_dimension, verify_natural_representation
-from geomforge.perm import PermutationGroup
+from geomforge.perm import PermutationGroup, StabilizerChain
 pytestmark = pytest.mark.stretch
 
 
@@ -107,8 +107,9 @@ class TestP1Geometry:
 
 
 def test_build_takes_each_setwise_stabilizer_once(monkeypatch):
-    # the M24 duad stabilizer and one heptad normalizer, which
-    # subgroup_pattern_geometry checks; lru_cache is bypassed
+    # only the M24 duad stabilizer: the heptad normalizer condition that
+    # subgroup_pattern_geometry checks is counted by orbit-stabilizer, with
+    # no setwise stabilizer; lru_cache is bypassed
     calls = []
     setwise = PermutationGroup._setwise_stabilizer
 
@@ -118,4 +119,16 @@ def test_build_takes_each_setwise_stabilizer_once(monkeypatch):
 
     monkeypatch.setattr(PermutationGroup, "_setwise_stabilizer", counting)
     m22.build_m22_geometry.__wrapped__(6)
-    assert calls == [2, 7]
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("seed", [6, 11])
+def test_aut_m22_pair_chain_stops_at_certified_order(monkeypatch, seed):
+    # <a, b> lies in the duad stabilizer, whose order is certified, so the
+    # accepted pair's chain reaches that bound and runs no _verify pass
+    runs = []
+    verify = StabilizerChain._verify
+    monkeypatch.setattr(StabilizerChain, "_verify", lambda chain: runs.append(chain) or verify(chain))
+    group = m22.aut_m22(seed)
+    assert group.name == "AutM22" and group.order() == m22.AUT_M22_ORDER
+    assert not [chain for chain in runs if chain is group.chain()]
