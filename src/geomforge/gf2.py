@@ -9,13 +9,21 @@ payload and a dense (rows, cols) uint8 array of entries: ``_from_dense``
 packs with ``np.packbits(..., bitorder="little")`` for GF(2) and keeps the
 bytes for GF(3); ``_dense`` undoes it.  Construction, transposition, products,
 nullspaces, solving and the text format are then written once for both
-primes on dense arrays.  Only the bridge, ``get`` and ``rref`` are per prime:
-the two elimination kernels work on the payload itself.  GF(3) clears one
-pivot column at a time.  GF(2) works in blocks of 8 columns, each inside one
-64-bit word, and clears a block's pivot columns in every row with one gather
-from a Four-Russians table.  Which rows it picks to build a table does not
-change the result: the reduced row echelon form is unique, so the payload
-and the pivot columns, in natural order, depend on the matrix alone.
+primes on dense arrays.  Only the bridge, ``get`` and ``_eliminate`` are per
+prime: the two elimination kernels work on the payload itself.  GF(3) clears
+one pivot column at a time.  GF(2) works in blocks of 8 columns, each inside
+one 64-bit word, and clears a block's pivot columns in every row with one
+gather from a Four-Russians table.  Which rows it picks to build a table
+does not change the result: the reduced row echelon form is unique, so the
+payload and the pivot columns, in natural order, depend on the matrix alone.
+``rank`` runs the same kernels in echelon mode: each pivot column is cleared
+only below its pivot row, and the pivots are the same.
+
+Entries reach the uint8 array without a dense int64 copy where they can.
+``from_rows`` reduces an array of bools or integers as it is and reads
+nested rows of ints in 0..255 in one pass as bytes; other rows are converted
+in int64 blocks that refuse floats.  ``from_entries`` sums the residues per
+distinct cell, so its only full-size array is the uint8 result.
 
 The module also holds the GF(2)-subspace helpers on integer bit masks
 (``_span``, ``_subspaces``, ``_subspace_dim``, on top of ``_basis_of``)
@@ -24,7 +32,7 @@ that the constructions and the natural representation checks share.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -46,6 +54,7 @@ class ShapeError(ValueError):
 
 _ONE = np.uint64(1)
 _PACK_ENTRIES = 1 << 18  # entries per int64 block in ``from_rows``
+_INT64_MAX = np.iinfo(np.int64).max
 _BLOCK = 8  # GF(2) columns cleared per table gather; divides 64, so a block sits in one word
 _LOW = (1 << _BLOCK) - 1
 # [q, v]: bit q of the block value v
@@ -62,6 +71,27 @@ def _residues(vector: Sequence[int], prime: int) -> np.ndarray:
             f"vector entries must be bools or integers in the 64-bit range, not {values.dtype}"
         )
     return (values % prime).astype(np.int64)
+
+
+def _reduce_in_blocks(rows: Sequence[Sequence[int]], cols: int, prime: int) -> np.ndarray:
+    """Equal-length rows of integers reduced mod prime into a uint8 array,
+    converted in blocks of about ``_PACK_ENTRIES`` entries, which bounds the
+    int64 copy.  A block that numpy reads as floats or objects, or as
+    integers outside the signed 64-bit range, raises ValueError: a cast to
+    int64 would truncate floats."""
+    dense = np.empty((len(rows), cols), dtype=np.uint8)
+    step = max(1, _PACK_ENTRIES // max(cols, 1))
+    for start in range(0, len(rows), step):
+        try:
+            block = np.array(rows[start : start + step])
+        except ValueError as exc:  # entries that are sequences of unequal lengths
+            raise ShapeError(f"rows do not form a {len(rows)}x{cols} matrix: {exc}") from exc
+        if block.ndim != 2:
+            raise ShapeError(f"rows do not form a {len(rows)}x{cols} matrix: entries are sequences")
+        if block.size and (block.dtype.kind not in "biu" or block.dtype == np.uint64 and block.max() > _INT64_MAX):
+            raise ValueError(f"entries must be bools or integers in the 64-bit range, not {block.dtype}")
+        dense[start : start + step] = block % prime
+    return dense
 
 
 class MatrixGFp:
@@ -109,42 +139,53 @@ class MatrixGFp:
     @classmethod
     def from_rows(cls, prime: int, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "MatrixGFp":
         """Matrix from equal-length rows of integers (nested sequences or a
-        2-D array), reduced mod prime.  Rows are converted in blocks of about
-        ``_PACK_ENTRIES`` entries, which bounds the int64 copy."""
+        2-D array), reduced mod prime.  An array of bools or integers is
+        reduced straight into bytes.  Nested rows of ints in 0..255 are read
+        in one pass as bytes; any other rows (entries outside 0..255, floats,
+        nested entries) go through ``_reduce_in_blocks``, which refuses
+        floats and integers outside the signed 64-bit range."""
         if cols is None:
             cols = len(rows[0]) if len(rows) else 0
-        if any(len(row) != cols for row in rows):
-            raise ShapeError("ragged row lengths")
-        dense = np.empty((len(rows), cols), dtype=np.uint8)
-        step = max(1, _PACK_ENTRIES // max(cols, 1))
-        for start in range(0, len(rows), step):
+        if isinstance(rows, np.ndarray) and rows.dtype.kind in "biu":
+            if rows.ndim != 2 or (len(rows) and rows.shape[1] != cols):
+                raise ShapeError(f"a {rows.shape} array is not a matrix with {cols} columns")
+            dense = np.remainder(rows, prime, out=np.empty(rows.shape, np.uint8), casting="unsafe")
+        else:
+            if any(len(row) != cols for row in rows):
+                raise ShapeError("ragged row lengths")
             try:
-                block = np.array(rows[start : start + step], dtype=np.int64)
-            except OverflowError as exc:
-                raise ValueError(f"value outside the 64-bit integer range: {exc}") from exc
-            except ValueError as exc:  # entries that are sequences of unequal lengths
-                raise ShapeError(f"rows do not form a {len(rows)}x{cols} matrix: {exc}") from exc
-            if block.ndim != 2:
-                raise ShapeError(f"rows do not form a {len(rows)}x{cols} matrix: entries are sequences")
-            dense[start : start + step] = block % prime
-        return cls._from_dense(prime, dense)
+                dense = np.frombuffer(bytearray(chain.from_iterable(rows)), dtype=np.uint8)
+            except (TypeError, ValueError):  # an entry is not an int in 0..255
+                dense = _reduce_in_blocks(rows, cols, prime)
+            else:
+                dense %= prime
+        return cls._from_dense(prime, dense.reshape(len(rows), cols))
 
     @classmethod
     def from_entries(cls, prime: int, rows: int, cols: int, entries: Iterable[tuple[int, int, int]]) -> "MatrixGFp":
-        """Build from (row, col, value) coordinate triples; repeated
-        coordinates add up."""
-        try:
-            triples = np.array([(r, c, v) for r, c, v in entries], dtype=np.int64).reshape(-1, 3)
-        except OverflowError as exc:
-            raise ValueError(f"value outside the 64-bit integer range: {exc}") from exc
+        """Build from (row, col, value) coordinate triples of integers;
+        repeated coordinates add up.  Floats raise ValueError.  The residues
+        are summed per distinct cell, so the only rows x cols array is the
+        uint8 result."""
+        listed = [(r, c, v) for r, c, v in entries]
+        triples = np.array(listed, dtype=None if listed else np.int64).reshape(-1, 3)
+        if triples.dtype.kind not in "biu":
+            raise ValueError(f"entries must be integers in the 64-bit range, not {triples.dtype}")
         r, c, v = triples.T
         outside = np.flatnonzero((r < 0) | (r >= rows) | (c < 0) | (c >= cols))
         if outside.size:
             i = outside[0]
             raise ShapeError(f"entry ({r[i]},{c[i]}) outside {rows}x{cols}")
-        dense = np.zeros((rows, cols), dtype=np.int64)
-        np.add.at(dense, (r, c), v % prime)
-        return cls._from_dense(prime, (dense % prime).astype(np.uint8))
+        # one sum per run of equal cells in sorted order; np.unique with
+        # return_inverse does the same but raises peak RSS by about 0.6 MB
+        # on its first call
+        cells = r.astype(np.int64) * cols + c.astype(np.int64)
+        order = np.argsort(cells)
+        cells = cells[order]
+        starts = np.flatnonzero(np.diff(cells, prepend=-1))
+        dense = np.zeros(rows * cols, dtype=np.uint8)
+        dense[cells[starts]] = np.add.reduceat((v % prime)[order], starts, dtype=np.int64) % prime
+        return cls._from_dense(prime, dense.reshape(rows, cols))
 
     # -- element access -------------------------------------------------------
 
@@ -197,15 +238,23 @@ class MatrixGFp:
 
     # -- elimination ----------------------------------------------------------
 
-    def rref(self) -> tuple["MatrixGFp", list[int]]:
-        """Reduced row echelon form and its pivot columns (deterministic)."""
+    def _eliminate(self, echelon: bool = False) -> tuple[np.ndarray, list[int]]:
+        """A copy of the payload eliminated by the prime's kernel, and its
+        pivot columns."""
         work = self._payload.copy()
         kernel = _rref2_inplace if self.prime == 2 else _rref3_inplace
-        pivots = kernel(work, self.rows, self.cols)
+        return work, kernel(work, self.rows, self.cols, echelon)
+
+    def rref(self) -> tuple["MatrixGFp", list[int]]:
+        """Reduced row echelon form and its pivot columns (deterministic)."""
+        work, pivots = self._eliminate()
         return MatrixGFp(self.prime, self.rows, self.cols, work), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """Number of pivot columns, read off a row echelon form: the kernel
+        clears each pivot column only below its pivot row and stops there,
+        with no reduced form made."""
+        return len(self._eliminate(echelon=True)[1])
 
     def nullspace(self) -> "MatrixGFp":
         """Canonical basis of the right nullspace, one vector per row, in
@@ -224,7 +273,7 @@ class MatrixGFp:
         return MatrixGFp(self.prime, len(pivots), self.cols, red._payload[: len(pivots)])
 
 
-def _rref2_inplace(work: np.ndarray, rows: int, cols: int) -> list[int]:
+def _rref2_inplace(work: np.ndarray, rows: int, cols: int, echelon: bool = False) -> list[int]:
     """Four-Russians Gauss-Jordan elimination (Albrecht, Bard and Hart, ACM
     TOMS 36(3), 2010), one block of ``_BLOCK`` columns at a time.
 
@@ -234,7 +283,9 @@ def _rref2_inplace(work: np.ndarray, rows: int, cols: int) -> list[int]:
     from the table of all XOR combinations of the picked rows then clears
     the pivot columns in every row, which zeroes rows r.. inside the block,
     and the reduced pivot rows take places r..r+k-1.  Only rows with a bit
-    set in a pivot column are touched, so sparse matrices stay cheap."""
+    set in a pivot column are touched, so sparse matrices stay cheap.  With
+    ``echelon`` set, the gather clears only rows r.. and the result is a row
+    echelon form with the same pivot columns."""
     pivots: list[int] = []
     r = 0
     for start in range(0, cols, _BLOCK):
@@ -254,9 +305,10 @@ def _rref2_inplace(work: np.ndarray, rows: int, cols: int) -> list[int]:
         # block value -> the combination that agrees with it on every lead
         lookup = np.bitwise_xor.reduce(_BIT_ROWS[leads] * masks[:, None], axis=0)
         reduced = table[masks]
-        index = lookup[bits]
-        hit = np.flatnonzero(index)  # rows with a bit set in a pivot column
-        work[hit, w:] ^= table[index[hit]]
+        low = r if echelon else 0
+        index = lookup[bits[low:]]
+        hit = low + np.flatnonzero(index)  # rows with a bit set in a pivot column
+        work[hit, w:] ^= table[index[hit - low]]
         # picked rows are zero now; rows displaced from r..r+k-1 fill them
         holes = [row for row in picked if row >= r + k]
         if holes:
@@ -301,26 +353,29 @@ def _candidates(bits: np.ndarray, r: int):
     yield from zip(first.tolist(), bits[first].tolist())
 
 
-def _rref3_inplace(work: np.ndarray, rows: int, cols: int) -> list[int]:
+def _rref3_inplace(work: np.ndarray, rows: int, cols: int, echelon: bool = False) -> list[int]:
+    """Gauss-Jordan elimination over GF(3), one pivot column at a time; with
+    ``echelon`` set, each pivot column is cleared only below its pivot row.
+    The pivot row is zero left of its pivot, so only columns c.. change."""
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        col = work[r:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.flatnonzero(work[r:, c])
         if nz.size == 0:
             continue
         p = r + int(nz[0])
         if p != r:
             work[[r, p]] = work[[p, r]]
         if work[r, c] == 2:  # inverse of 2 mod 3 is 2
-            work[r] = (work[r] * 2) % 3
-        hits = np.nonzero(work[:, c])[0]
+            work[r, c:] = work[r, c:] * 2 % 3
+        low = r + 1 if echelon else 0
+        hits = low + np.flatnonzero(work[low:, c])
         hits = hits[hits != r]
         if hits.size:
-            factors = work[hits, c].astype(np.int16)
-            work[hits] = (work[hits].astype(np.int16) - factors[:, None] * work[r].astype(np.int16)) % 3
+            # x - f y = x + (3 - f) y mod 3, and 2 + 2 * 2 fits in a byte
+            work[hits, c:] = (work[hits, c:] + (3 - work[hits, c])[:, None] * work[r, c:]) % 3
         pivots.append(c)
         r += 1
     return pivots

@@ -105,14 +105,16 @@ class GolayCode:
         return s
 
     def _coset_representatives(self) -> dict[int, int]:
-        """Minimum-size subset per cocode class (covering radius 4)."""
+        """Minimum-size subset per cocode class (covering radius 4).  The
+        syndrome is linear, so a subset's is the XOR of its points'."""
+        units = [(1 << x, self.syndrome(1 << x)) for x in range(24)]
         rep = {0: 0}
         for size in (1, 2, 3, 4):
-            for sub in combinations(range(24), size):
-                m = 0
-                for x in sub:
-                    m |= 1 << x
-                s = self.syndrome(m)
+            for sub in combinations(units, size):
+                m = s = 0
+                for bit, syndrome in sub:
+                    m |= bit
+                    s ^= syndrome
                 if s not in rep:
                     rep[s] = m
         if len(rep) != 4096:

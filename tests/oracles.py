@@ -77,6 +77,34 @@ def rref2_by_column(work, rows, cols):
     return pivots
 
 
+def accumulate_entries(prime, rows, cols, entries):
+    """Dense rows of the (row, col, value) triples added up per cell mod
+    prime, through a dict; None when a coordinate lies outside."""
+    cells = {}
+    for r, c, v in entries:
+        if not (0 <= r < rows and 0 <= c < cols):
+            return None
+        cells[r, c] = cells.get((r, c), 0) + v
+    return [[cells.get((r, c), 0) % prime for c in range(cols)] for r in range(rows)]
+
+
+def coset_representatives_by_syndrome(code):
+    """The Golay cocode representatives of ``m22.GolayCode`` by the loop the
+    library used before it read syndromes off single points: the first
+    subset of sizes 1..4, in ``combinations`` order, per syndrome, each
+    subset's syndrome computed from its mask."""
+    rep = {0: 0}
+    for size in (1, 2, 3, 4):
+        for sub in combinations(range(24), size):
+            m = 0
+            for x in sub:
+                m |= 1 << x
+            s = code.syndrome(m)
+            if s not in rep:
+                rep[s] = m
+    return rep
+
+
 def exhaustive_orbit(seed, generator_maps):
     """Closure of a point under a list of callables."""
     seen = {seed}

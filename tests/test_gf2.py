@@ -18,7 +18,14 @@ from geomforge.gf2 import (
     _PACK_ENTRIES,
     _subspaces,
 )
-from oracles import naive_rank, naive_span, naive_subspaces, rref2_by_column, subspace_count
+from oracles import (
+    accumulate_entries,
+    naive_rank,
+    naive_span,
+    naive_subspaces,
+    rref2_by_column,
+    subspace_count,
+)
 
 
 def petersen_incidence_rows():
@@ -216,6 +223,24 @@ class TestInputReduction:
         with pytest.raises(ValueError):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: MatrixGFp.from_rows(2, [[1.5, 2.7]]),
+        lambda: MatrixGFp.from_rows(2, [[np.float32(1), 0]]),
+        lambda: MatrixGFp.from_rows(3, np.array([[1.5, 2.7]])),
+        lambda: MatrixGFp.from_entries(2, 1, 1, [(0, 0, 1.5)]),
+        lambda: MatrixGFp.from_entries(3, 2, 2, [(0.9, 1.2, 2)]),
+    ], ids=["rows-list", "rows-float32", "rows-array", "entries-value", "entries-coordinates"])
+    def test_floats_rejected(self, build):
+        # an int64 cast used to truncate them: [[1.5, 2.7]] became [[1, 0]] over
+        # GF(2), and the coordinates (0.9, 1.2) named cell (0, 1)
+        with pytest.raises(ValueError):
+            build()
+
+    def test_uint64_array_keeps_its_residues(self):
+        # an int64 cast used to wrap 2**64 - 1 to -1, giving [[2, 2]]
+        dense = np.array([[2**64 - 1, 2**63 + 1]], dtype=np.uint64)
+        assert MatrixGFp.from_rows(3, dense).to_rows() == [[0, 0]]
+
     @pytest.mark.parametrize(
         "vector", [[0.5, 1.9], [1.0, 0], [np.float32(1), 0], [2**64, 0], [0, -(2**63) - 1]]
     )
@@ -266,6 +291,18 @@ class TestFromRows:
         with pytest.raises(ShapeError):
             MatrixGFp.from_rows(2, rows)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3]), st.sampled_from([
+        (np.bool_, 0, 1), (np.uint8, 0, 255), (np.int64, -(2**63), 2**63 - 1), (np.uint64, 0, 2**64 - 1),
+    ]), st.integers(0, 6), st.integers(1, 70), st.data())
+    def test_arrays_reduce_exactly(self, p, kind, rows, cols, data):
+        dtype, low, high = kind
+        row = st.lists(st.integers(low, high), min_size=cols, max_size=cols)
+        values = data.draw(st.lists(row, min_size=rows, max_size=rows))
+        got = MatrixGFp.from_rows(p, np.array(values, dtype=dtype).reshape(rows, cols), cols=cols)
+        assert (got.rows, got.cols) == (rows, cols)
+        assert got.to_rows() == [[v % p for v in row] for row in values]
+
     def test_rows_converted_across_blocks(self):
         # two rows per int64 block: five rows take three blocks
         dense = np.random.default_rng(3).integers(-4, 5, size=(5, _PACK_ENTRIES // 2))
@@ -274,6 +311,37 @@ class TestFromRows:
         rows[4][7] = [1, 2]
         with pytest.raises(ShapeError):
             MatrixGFp.from_rows(3, rows)
+
+
+class TestFromEntries:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(1, 9), st.integers(1, 9), st.data())
+    def test_matches_dict_accumulation(self, p, rows, cols, data):
+        # few cells and many triples, so coordinates repeat; some fall outside
+        triple = st.tuples(st.integers(-1, rows), st.integers(-1, cols), st.integers(-(2**62), 2**62))
+        entries = data.draw(st.lists(triple, max_size=40))
+        want = accumulate_entries(p, rows, cols, entries)
+        if want is None:
+            with pytest.raises(ShapeError):
+                MatrixGFp.from_entries(p, rows, cols, entries)
+        else:
+            assert MatrixGFp.from_entries(p, rows, cols, entries).to_rows() == want
+
+    def test_peak_memory_is_about_one_byte_per_entry(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(12)
+        entries = list(zip(rng.integers(0, 3000, 9000).tolist(), rng.integers(0, 3000, 9000).tolist(),
+                           rng.integers(-5, 5, 9000).tolist()))
+        tracemalloc.start()
+        try:
+            m = MatrixGFp.from_entries(3, 3000, 3000, entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.rows == m.cols == 3000
+        # a dense int64 copy of 3000 x 3000 alone takes 72 MB
+        assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 @st.composite
@@ -332,12 +400,28 @@ class TestProperties:
     @given(matrices())
     def test_rank_matches_oracle(self, case):
         p, cols, rows = case
-        assert MatrixGFp.from_rows(p, rows, cols=cols).rank() == naive_rank(rows, p)
+        m = MatrixGFp.from_rows(p, rows, cols=cols)
+        assert m.rank() == len(m.rref()[1]) == naive_rank(rows, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gf2_eliminations(), st.sampled_from([2, 3]))
+    def test_echelon_rank_counts_the_rref_pivots(self, dense, p):
+        # 0/1 entries are a matrix over GF(3) as well
+        m = MatrixGFp.from_rows(p, dense, cols=dense.shape[1])
+        rank = m.rank()
+        assert rank == len(m.rref()[1])
+        if p == 2:
+            assert rank == len(rref2_by_column(m._payload.copy(), *dense.shape))
+        elif dense.size <= 4000:
+            assert rank == naive_rank(dense.tolist(), 3)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([2, 3]), st.integers(1, 130), st.data())
     def test_from_rows_to_rows_reduces(self, p, cols, data):
-        rows = data.draw(st.lists(st.lists(st.integers(-300, 300), min_size=cols, max_size=cols), max_size=8))
+        # entries in 0..255 are read as bytes; any other row takes the int64 blocks
+        entry = st.one_of(st.integers(-300, 300), st.sampled_from([-1, 256, 2**62]),
+                          st.integers(-(2**63), 2**63 - 1))
+        rows = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=8))
         got = MatrixGFp.from_rows(p, rows, cols=cols).to_rows()
         assert got == [[v % p for v in row] for row in rows]
 

@@ -8,6 +8,7 @@ from geomforge.geom import derived_graph, diagram, is_flag_transitive, is_geomet
 from geomforge.graphs import girth
 from geomforge.natrep import um_dimension, verify_natural_representation
 from geomforge.perm import PermutationGroup, StabilizerChain
+from oracles import coset_representatives_by_syndrome
 pytestmark = pytest.mark.stretch
 
 
@@ -28,6 +29,13 @@ class TestGolay:
 
     def test_dimension(self):
         assert len(m22.golay_code().basis) == 12
+
+    def test_coset_representatives_match_the_mask_loop(self):
+        code = m22.golay_code()
+        rep = code._coset_representatives()
+        want = coset_representatives_by_syndrome(code)
+        assert list(rep.items()) == list(want.items())
+        assert all(code.syndrome(m) == s for s, m in rep.items())
 
     def test_manifest_tampering_detected(self, tmp_path, monkeypatch):
         import shutil
