@@ -1,7 +1,7 @@
 """Concrete geometry constructions: the Petersen edge-vertex geometry, GF(2)
 projective geometries, symplectic polar spaces, the generic subgroup-pattern
-geometry over an elementary abelian 2-group, the rank-2 tilde geometry inside
-GammaL3(4), and the optional Golay/M24/M22 pipeline.
+geometry over an elementary abelian 2-group and the rank-2 tilde geometry
+inside GammaL3(4).  The Golay/M24/M22 construction lives in :mod:`geomforge.m22`.
 
 Subspaces of GF(2)^m are identified by the sorted tuple of their nonzero
 vectors, written as integer bit masks (or as 0-based point indices when a
@@ -48,7 +48,6 @@ __all__ = [
     "subgroup_pattern_geometry",
     "tilde_geometry",
     "gaussian_binomial_n2",
-    "m22_pipeline",
 ]
 
 SYMPLECTIC_RANK_BOUND = 4
@@ -504,13 +503,3 @@ def gaussian_binomial_n2(n: int) -> int:
     if n < 2:
         raise ValueError("n must be at least 2")
     return (2**n - 1) * (2**n - 2) // 6
-
-
-# ---------------------------------------------------------------------------
-# optional stretch tier: Golay code, M24, Aut(M22) and its rank-3 geometry
-
-
-def m22_pipeline(seed: int) -> ConstructionMetadata:
-    from .m22 import build_m22_geometry
-
-    return build_m22_geometry(seed)

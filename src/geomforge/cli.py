@@ -28,8 +28,24 @@ EXIT_BAD_INPUT = 4
 _BUILTIN_NAMES = ("petersen", "pg", "sp", "gq22", "tilde", "m22")
 
 
-class CheckFailed(RuntimeError):
-    pass
+class _Stop(RuntimeError):
+    """Ends a command with a report of ``results`` under ``status``."""
+
+    status, exit_code = "check-failed", EXIT_CHECK_FAILED
+
+    def __init__(self, results: dict):
+        super().__init__(results)
+        self.results = results
+
+
+class CheckFailed(_Stop):
+    """A verification failed."""
+
+
+class _Capacity(_Stop):
+    """A bounded computation overflowed."""
+
+    status, exit_code = "capacity", EXIT_CAPACITY
 
 
 def _log(message: str) -> None:
@@ -71,7 +87,11 @@ def _builtin_metadata(name: str, n: int | None, seed: int | None) -> build.Const
     if name == "m22":
         if seed is None:
             raise ValueError("--seed is required for the m22 builtin")
-        return build.m22_pipeline(seed)
+        # imported on use: no other command needs it, and importing it
+        # adds a few milliseconds to every CLI start
+        from . import m22
+
+        return m22.build_m22_geometry(seed)
     raise ValueError(f"unknown builtin {name!r}; choose from {_BUILTIN_NAMES}")
 
 
@@ -126,7 +146,7 @@ def _checked_axioms(g: Geometry) -> dict:
         "failures": verdict.failures,
     }
     if not verdict.ok:
-        raise CheckFailed(json.dumps(results, sort_keys=True))
+        raise CheckFailed(results)
     return results
 
 
@@ -163,7 +183,7 @@ def _cmd_tc(args):
     presentation = cover.load_presentation(args.input)
     outcome = cover.todd_coxeter(presentation, limit=args.limit)
     if not outcome.completed:
-        raise _Capacity(json.dumps(outcome.to_json(), sort_keys=True))
+        raise _Capacity(outcome.to_json())
     return inputs, outcome.to_json()
 
 
@@ -218,7 +238,7 @@ def _cmd_local(args):
             "failures": verdict.failures,
         }
         if not verdict.ok:
-            raise CheckFailed(json.dumps(results, sort_keys=True))
+            raise CheckFailed(results)
         return inputs, results
     if args.action == "kernels":
         # one series serves the report and condition (*); a negative s_max
@@ -257,10 +277,6 @@ def _cmd_bench(args):
         rows.append({"size": size, "rank": rank})
         _log(f"rank of random {size}x{size}: {rank} in {elapsed * 1000:.1f} ms")
     return inputs, {"table": rows}
-
-
-class _Capacity(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +398,13 @@ def main(argv=None) -> int:
     handler = _HANDLERS[command]
     try:
         inputs, results = handler(args)
-    except CheckFailed as exc:
-        _emit(command, {}, json.loads(str(exc)), "check-failed", started)
-        return EXIT_CHECK_FAILED
+    except _Stop as exc:
+        _emit(command, {}, exc.results, exc.status, started)
+        return exc.exit_code
     except build.ConstructionError as exc:
         _log(f"construction check failed: {exc}")
         _emit(command, {}, {"error": str(exc)}, "check-failed", started)
         return EXIT_CHECK_FAILED
-    except _Capacity as exc:
-        _emit(command, {}, json.loads(str(exc)), "capacity", started)
-        return EXIT_CAPACITY
     except CapacityError as exc:
         _log(f"capacity: {exc}")
         _emit(command, {}, {"error": str(exc)}, "capacity", started)

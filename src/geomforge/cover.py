@@ -19,6 +19,7 @@ live cosets, so scans follow entries without a union-find lookup.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -117,13 +118,17 @@ class Presentation:
             raise PresentationError(f"malformed presentation payload: {exc}") from exc
 
     def word_to_string(self, word: Word) -> str:
+        """The word over single-letter names with uppercase inverses, as in
+        the JSON format; with a longer name among the generators, the
+        letters joined by ``*`` with inverses as ``name^-1``."""
+        single = all(len(name) == 1 for name in self.generators)
         out = []
         for letter in word:
             name = self.generators[abs(letter) - 1]
-            if len(name) != 1:
-                raise PresentationError("string form needs single-letter names")
-            out.append(name if letter > 0 else name.upper())
-        return "".join(out)
+            if letter < 0:
+                name = name.upper() if single else f"{name}^-1"
+            out.append(name)
+        return ("" if single else "*").join(out)
 
 
 @dataclass
@@ -589,9 +594,8 @@ def _verify_covering(cover: TriangleComplex, base: TriangleComplex, projection: 
     """The projection restricted to each vertex neighborhood must be a
     bijection onto the base neighborhood."""
     for v in cover.graph.vertices:
-        down = [projection[w] for w in cover.graph.neighbors(v)]
-        base_neigh = sorted(base.graph.neighbors(projection[v]), key=label_key)
-        if sorted(down, key=label_key) != base_neigh:
+        down = Counter(projection[w] for w in cover.graph.neighbors(v))
+        if down != Counter(base.graph.neighbors(projection[v])):
             raise AssertionError(f"covering property fails at {v!r}")
 
 

@@ -19,7 +19,6 @@ from .perm import (
     _closure,
     _tuple_step,
     induced_action,
-    label_key,
 )
 
 __all__ = [
@@ -67,9 +66,7 @@ def local_space_check(g: Geometry, a) -> LocalSpaceVerdict:
     if g.type_of.get(a) != g.rank:
         raise ValueError(f"element {a!r} is not of top type {g.rank}")
     failures: list[str] = []
-    members = sorted(
-        (y for y in g.pencil(a) if g.type_of[y] < g.rank), key=label_key
-    )
+    members = [y for y in g.pencil(a) if g.type_of[y] < g.rank]
     vertex_sets: dict = {}
     for y in members:
         vs = frozenset(
@@ -130,7 +127,7 @@ def kernel_series(meta: ConstructionMetadata, a, s_max: int) -> KernelSeriesRepo
     if a not in action.index:
         raise GeometryError(f"{a!r} is not a derived-graph vertex")
     distance = {v: d for v, d in delta.distances(a).items() if d <= s_max}
-    ball = sorted(distance, key=lambda v: (distance[v], label_key(v)))
+    ball = sorted(distance, key=lambda v: (distance[v], action.index[v]))
     chain = action.image_group().base_chain([action.index[v] for v in ball])
     orders = [
         chain.stabilizer(sum(1 for d in distance.values() if d <= s)).order()

@@ -15,7 +15,6 @@ from typing import Optional
 from .build import ConstructionMetadata
 from .geom import Geometry, GeometryError
 from .gf2 import MatrixGFp, _span, _subspace_dim, _subspaces
-from .perm import label_key
 
 __all__ = [
     "NatRepResult",
@@ -57,9 +56,7 @@ def _lines_with_points(g: Geometry) -> list[tuple]:
         raise GeometryError("relation system requires rank at least 2")
     out = []
     for line in g.elements_of_type(2):
-        pts = sorted(
-            (e for e in g.pencil(line) if g.type_of[e] == 1), key=label_key
-        )
+        pts = [e for e in g.pencil(line) if g.type_of[e] == 1]
         if len(pts) != 3:
             raise NotGF2TypeError(
                 f"line {line!r} carries {len(pts)} points, not 3"
@@ -206,9 +203,7 @@ def verify_natural_representation(g: Geometry, assignment: dict) -> Representati
 def _residue_points(g: Geometry, x):
     if g.type_of[x] == 1:
         return [x]
-    return sorted(
-        (p for p in g.pencil(x) if g.type_of[p] == 1), key=label_key
-    )
+    return [p for p in g.pencil(x) if g.type_of[p] == 1]
 
 
 def _bits_to_mask(bits) -> int:

@@ -2,8 +2,9 @@
 normal closures, randomized subgroup search and induced actions.
 
 Permutations act on the right: ``x ^ g = g.images[x]`` and ``(p * q)`` means
-"apply p first, then q".  All derived domains are kept in a canonical sorted
-order so that every operation is deterministic and reproducible.
+"apply p first, then q".  Labels are ordered once where they enter (the
+geometry, graph and complex constructors); derived domains keep their
+source's order, so every operation is deterministic and reproducible.
 """
 
 from __future__ import annotations
@@ -678,8 +679,9 @@ class PermutationGroup:
 
 class GroupAction:
     """Action of a PermutationGroup on a finite labelled domain, stored as
-    one domain permutation per generator.  The domain holds canonical sorted
-    labels, so orbit output is reproducible."""
+    one domain permutation per generator.  The domain keeps the order it is
+    given, and orbits list their labels by position in it, so orbit output
+    is reproducible."""
 
     def __init__(self, group: PermutationGroup, domain: Sequence, images: Sequence[Sequence[int]]):
         self.group = group
@@ -726,12 +728,13 @@ class GroupAction:
         if seed not in self.index:
             raise DomainError(f"seed {seed!r} not in action domain")
         found = _closure([self.index[seed]], _image_step(self.images))
-        return sorted((self.domain[i] for i in found), key=label_key)
+        return [self.domain[i] for i in sorted(found)]
 
     def orbits(self) -> list[list]:
-        """Every orbit as a sorted label list, ordered by least label."""
+        """Every orbit as a label list in domain order, ordered by its first
+        label."""
         return [
-            sorted((self.domain[i] for i in orb), key=label_key)
+            [self.domain[i] for i in sorted(orb)]
             for orb in _orbit_partition(len(self.domain), self.images)
         ]
 
@@ -745,8 +748,9 @@ class GroupAction:
         return image
 
     def restricted(self, labels: Sequence) -> "GroupAction":
-        """Action induced on an invariant subset of the domain."""
-        labels = sorted(labels, key=label_key)
+        """Action induced on an invariant subset of the domain, whose labels
+        keep the given order (repeats dropped)."""
+        labels = tuple(dict.fromkeys(labels))
         sub_index = {label: i for i, label in enumerate(labels)}
         imgs = []
         for img in self.images:
@@ -764,10 +768,10 @@ def induced_action(group: PermutationGroup, domain: Iterable, apply: Callable) -
     """Lift the point action to a derived domain.
 
     ``apply(perm, label) -> label`` must send domain labels to domain labels
-    for every generator; otherwise a ClosureError is raised.  The domain is
-    canonically sorted.
+    for every generator; otherwise a ClosureError is raised.  The domain
+    keeps the given order, repeats dropped at their first occurrence.
     """
-    labels = sorted(set(domain), key=label_key)
+    labels = tuple(dict.fromkeys(domain))
     index = {label: i for i, label in enumerate(labels)}
     images = []
     for g in group.generators:

@@ -485,3 +485,38 @@ def naive_rank2_class(points, lines, incidences):
         # GQ(2,2) has (s + 1)(st + 1) = 15 points and as many lines
         return "gq-2-2" if len(points) == len(lines) == 15 else "unknown"
     return "unknown"
+
+
+def s_covering_by_residues(f, s):
+    """The residue-based s-covering test, moved here from
+    ``geomforge.geom.is_s_covering``: f must be surjective, and for every
+    flag F of size at least rank - s the restriction of f to res(F), built
+    as a geometry, must be an isomorphism onto res(f(F)), also built."""
+    from geomforge.geom import MorphismError, residue
+
+    src = f.source
+    if not 1 <= s < src.rank:
+        raise MorphismError(f"s must satisfy 1 <= s < rank, got {s}")
+    if not f.is_surjective():
+        return False
+
+    def is_isomorphism(res_src, res_tgt):
+        images = {}
+        for e in res_src.elements:
+            if f(e) not in res_tgt.type_of:
+                return False
+            images[e] = f(e)
+        if len(set(images.values())) != res_src.size or res_src.size != res_tgt.size:
+            return False
+        if any(not res_tgt.incident(images[a], images[b]) for a, b in res_src.incidence_pairs()):
+            return False
+        back = {v: k for k, v in images.items()}
+        return all(res_src.incident(back[a], back[b]) for a, b in res_tgt.incidence_pairs())
+
+    def visit(flag, cands):
+        if len(flag) < src.rank - s:
+            return None
+        res_tgt = residue(f.target, sorted({f(e) for e in flag}, key=label_key))
+        return not is_isomorphism(residue(src, flag), res_tgt)
+
+    return not src.walk_flags(visit, max_size=src.rank - 1)

@@ -258,7 +258,7 @@ def test_criterion_10_stretch_tier():
     code = m22.golay_code()
     assert len(code.octads) == 759
     assert m22.mathieu_group_24().order() == 244823040
-    meta = build.m22_pipeline(seed=11)
+    meta = m22.build_m22_geometry(seed=11)
     assert natrep.um_dimension(meta.geometry).total_dim == 11
     graph = derived_graph(meta.geometry)
     action = meta.action.restricted(meta.geometry.elements_of_type(3))

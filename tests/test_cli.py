@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -166,6 +167,24 @@ class TestCommands:
             capsys, "cover", "--input", str(complex_path), "--subgroup", "aa"
         )
         assert code == 0 and report["results"]["vertices"] == 8
+
+    def test_pi1_with_more_generators_than_letters(self, capsys, tmp_path):
+        # K9 with every triangle: 28 non-tree edges, named g0..g27, so the
+        # relators are written with "*" and "^-1"
+        path = tmp_path / "k9.json"
+        path.write_text(json.dumps({
+            "vertices": list(range(9)),
+            "edges": [list(e) for e in combinations(range(9), 2)],
+            "triangles": [list(t) for t in combinations(range(9), 3)],
+        }))
+        code, report = run_cli(capsys, "pi1", "--input", str(path))
+        assert code == 0 and report["status"] == "ok"
+        results = report["results"]
+        assert results["generators"] == [f"g{i}" for i in range(28)]
+        assert len(results["relators"]) == 84
+        # triangles through the basepoint 0 cross one non-tree edge
+        assert results["relators"][:2] == ["g0", "g1"]
+        assert results["relators"][28] == "g0*g7*g1^-1"  # triangle (1, 2, 3)
 
     def test_cover_triangulable(self, capsys, tmp_path):
         complex_path = tmp_path / "c5.json"

@@ -34,7 +34,12 @@ from geomforge.geom import (
 )
 from geomforge.graphs import graph_isomorphism, petersen_graph
 from geomforge.perm import Permutation, PermutationGroup, StabilizerChain, induced_action, label_key
-from oracles import amalgam_orders_by_stabilizers, common_neighbor_edges, naive_rank2_class
+from oracles import (
+    amalgam_orders_by_stabilizers,
+    common_neighbor_edges,
+    naive_rank2_class,
+    s_covering_by_residues,
+)
 
 
 def hexagon():
@@ -520,6 +525,36 @@ class TestTruncation:
             truncation(p0.geometry, [])
 
 
+@lru_cache(maxsize=None)
+def _covering_builtins():
+    return {
+        "petersen": build.petersen_geometry(),
+        "gq22": build.symplectic_polar_space(2),
+        "pg3": build.projective_geometry_2(3),
+        "pg4": build.projective_geometry_2(4),
+        "tilde": build.tilde_geometry(seed=42),
+    }
+
+
+def _quotient_by_elements(meta, gens):
+    """The quotient map of ``meta.geometry`` by the subgroup generated by
+    permutations of the element positions of ``meta.action``."""
+    action = meta.action
+    group = PermutationGroup(gens or [Permutation.identity(len(action.domain))])
+
+    def apply(p, e):
+        return action.domain[p.images[action.index[e]]]
+
+    return quotient_by_action(meta.geometry, element_action(meta.geometry, group, apply))[1]
+
+
+class TestElementAction:
+    @pytest.mark.parametrize("name", ["petersen", "pg4", "tilde"])
+    def test_domain_is_the_element_order(self, name):
+        meta = _covering_builtins()[name]
+        assert meta.action.domain == meta.geometry.elements
+
+
 class TestQuotient:
     def test_t0_by_scalar_is_gq(self, t0, gq22):
         from geomforge.build import _apply_points
@@ -594,6 +629,58 @@ class TestSCovering:
         )
         with pytest.raises(MorphismError):
             is_s_covering(morphism, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(["petersen", "gq22", "pg3", "pg4", "tilde"]),
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(0, 2),
+    )
+    def test_pencils_agree_with_residues(self, name, seed, count):
+        # quotient maps by random subgroups: coverings for the trivial one,
+        # mostly not otherwise
+        meta = _covering_builtins()[name]
+        chain = meta.action.image_group().chain()
+        rng = random.Random(seed)
+        f = _quotient_by_elements(meta, [chain.sample(rng) for _ in range(count)])
+        for s in range(1, meta.geometry.rank):
+            assert is_s_covering(f, s) == s_covering_by_residues(f, s)
+
+    def test_oracle_agrees_on_a_covering_and_a_non_covering(self):
+        from geomforge.build import _apply_points
+
+        t0 = _covering_builtins()["tilde"]
+        o3_action = induced_action(
+            PermutationGroup([t0.o3_generator]), t0.geometry.elements, _apply_points
+        )
+        _, f = quotient_by_action(t0.geometry, o3_action)
+        assert is_s_covering(f, 1) and s_covering_by_residues(f, 1)
+        p0 = _covering_builtins()["petersen"]
+        f = _quotient_by_elements(p0, [p0.action.image_group().generators[0]])
+        assert not is_s_covering(f, 1) and not s_covering_by_residues(f, 1)
+
+    def test_each_pencil_condition_is_needed(self):
+        # two lines through each source point fold onto one target line:
+        # every pencil keeps its size, but f is not injective on them
+        folded = GeometryMorphism(
+            Geometry(
+                2,
+                [("p", 1), ("q", 1), ("L1", 2), ("L2", 2), ("L3", 2), ("L4", 2)],
+                [("p", "L1"), ("p", "L2"), ("q", "L3"), ("q", "L4")],
+            ),
+            Geometry(2, [("P", 1), ("M1", 2), ("M2", 2)], [("P", "M1"), ("P", "M2")]),
+            {"p": "P", "q": "P", "L1": "M1", "L2": "M1", "L3": "M2", "L4": "M2"},
+        )
+        # the identity into a target with one more incidence: injective,
+        # but a target pencil grows
+        elements = [("p", 1), ("q", 1), ("L1", 2), ("L2", 2)]
+        grown = GeometryMorphism(
+            Geometry(2, elements, [("p", "L1"), ("q", "L2")]),
+            Geometry(2, elements, [("p", "L1"), ("q", "L2"), ("p", "L2")]),
+            {e: e for e, _ in elements},
+        )
+        for f in (folded, grown):
+            assert not is_s_covering(f, 1) and not s_covering_by_residues(f, 1)
 
     def test_composition_of_coverings_is_covering(self):
         # 12-gon -> hexagon -> triangle, each step a quotient by a rotation

@@ -14,7 +14,7 @@ pytestmark = pytest.mark.stretch
 
 @pytest.fixture(scope="module")
 def p1():
-    return build.m22_pipeline(seed=11)
+    return m22.build_m22_geometry(seed=11)
 
 
 class TestGolay:

@@ -409,6 +409,18 @@ class TestInducedAction:
         action = induced_action(gl4, sorted(subs), rule)
         assert len(action.orbit(sorted(subs)[0])) == 35
 
+    def test_domain_keeps_the_given_order(self):
+        group = PermutationGroup.symmetric(4)
+        action = induced_action(group, [3, 2, 3, 1, 0, 2], lambda g, x: g.images[x])
+        assert action.domain == (3, 2, 1, 0)
+        assert action.orbit(0) == [3, 2, 1, 0]
+        assert action.restricted([0, 2, 0, 1, 3]).domain == (0, 2, 1, 3)
+
+    def test_orbits_follow_domain_positions(self):
+        swaps = PermutationGroup([Permutation([1, 0, 3, 2])])
+        action = induced_action(swaps, [3, 0, 2, 1], lambda g, x: g.images[x])
+        assert action.orbits() == [[3, 2], [0, 1]]
+
     def test_closure_error(self):
         group = PermutationGroup.symmetric(4)
         with pytest.raises(ClosureError):
