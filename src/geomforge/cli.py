@@ -333,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cover = sub.add_parser("cover", help="finite covers and triangulability")
     p_cover.add_argument("--input", required=True)
     p_cover.add_argument("--subgroup", nargs="*", default=[],
-                         help="subgroup words over the pi1 generators")
+                         help="subgroup words in the syntax that pi1 prints")
     p_cover.add_argument("--limit", type=int, default=cover.DEFAULT_COSET_LIMIT)
     p_cover.add_argument("--triangulable", action="store_true",
                          help="report the triangulability verdict instead")

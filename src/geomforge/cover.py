@@ -3,8 +3,15 @@ complexes, triangulability verdicts, homology ranks and explicit finite
 covers.
 
 Words are tuples of signed 1-based generator indices (+i for generator i,
--i for its inverse).  The JSON file format writes words as strings over
-single-letter generator names, uppercase meaning inverse.
+-i for its inverse).  As strings (:meth:`Presentation.word_to_string` and
+its inverse :meth:`Presentation.parse_word`) they are single-letter
+generator names with uppercase meaning inverse, or, when a name is longer,
+names joined by ``*`` with inverses as ``name^-1``.  The JSON file format
+uses single letters.
+
+One presentation of pi1 serves everything built on a triangle complex:
+H1 over GF(p) is pi1 made abelian, read off the exponent sums of its
+relators, and covers cross its non-tree edges by the coset table.
 
 The enumeration is HLT (Holt, Eick and O'Brien, Handbook of Computational
 Group Theory, 2005, section 5.1): each live coset in order is scanned under
@@ -89,21 +96,11 @@ class Presentation:
                 raise PresentationError(
                     f"string parsing needs single lowercase letters, got {name!r}"
                 )
-        index = {name: i + 1 for i, name in enumerate(generators)}
-
-        def parse(word: str) -> Word:
-            out = []
-            for ch in word:
-                low = ch.lower()
-                if low not in index:
-                    raise PresentationError(f"unknown generator {ch!r} in {word!r}")
-                out.append(index[low] if ch.islower() else -index[low])
-            return tuple(out)
-
+        bare = cls(tuple(generators))
         return cls(
-            tuple(generators),
-            tuple(parse(w) for w in relators),
-            tuple(parse(w) for w in subgroup),
+            bare.generators,
+            tuple(map(bare.parse_word, relators)),
+            tuple(map(bare.parse_word, subgroup)),
         )
 
     @classmethod
@@ -121,7 +118,7 @@ class Presentation:
         """The word over single-letter names with uppercase inverses, as in
         the JSON format; with a longer name among the generators, the
         letters joined by ``*`` with inverses as ``name^-1``."""
-        single = all(len(name) == 1 for name in self.generators)
+        single = self._single_letters()
         out = []
         for letter in word:
             name = self.generators[abs(letter) - 1]
@@ -129,6 +126,29 @@ class Presentation:
                 name = name.upper() if single else f"{name}^-1"
             out.append(name)
         return ("" if single else "*").join(out)
+
+    def parse_word(self, text: str) -> Word:
+        """The word that :meth:`word_to_string` writes as ``text``."""
+        index = {name: i + 1 for i, name in enumerate(self.generators)}
+        out = []
+        if self._single_letters():
+            for ch in text:
+                low = ch.lower()
+                if low not in index:
+                    raise PresentationError(f"unknown generator {ch!r} in {text!r}")
+                out.append(index[low] if ch.islower() else -index[low])
+            return tuple(out)
+        for name in text.split("*") if text else ():
+            if name in index:
+                out.append(index[name])
+            elif name.endswith("^-1") and name[:-3] in index:
+                out.append(-index[name[:-3]])
+            else:
+                raise PresentationError(f"unknown generator {name!r} in {text!r}")
+        return tuple(out)
+
+    def _single_letters(self) -> bool:
+        return all(len(name) == 1 for name in self.generators)
 
 
 @dataclass
@@ -405,62 +425,45 @@ class TriangleComplex:
 _GENERATOR_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def pi1_presentation(complex_: TriangleComplex, basepoint=None) -> Presentation:
+def _is_connected(graph: Graph) -> bool:
+    """Connected and not empty: the empty complex has no basepoint."""
+    return bool(graph.vertices) and graph.is_connected()
+
+
+def pi1_presentation(complex_: TriangleComplex) -> Presentation:
     """Presentation of the fundamental group: generators are the non-tree
     edges of a BFS spanning tree, relators are the designated triangles
     rewritten through the tree (words of length at most 3)."""
-    return _pi1_with_labels(complex_, basepoint)[0]
+    return _pi1_with_labels(complex_)[0]
 
 
-def _pi1_with_labels(complex_: TriangleComplex, basepoint=None) -> tuple[Presentation, dict]:
+def _pi1_with_labels(complex_: TriangleComplex) -> tuple[Presentation, dict]:
     """pi1_presentation plus the map from directed non-tree edges (u, v) to
     signed generator indices, needed to build explicit covers."""
     graph = complex_.graph
-    if not graph.is_connected():
+    if not _is_connected(graph):
         raise ValueError("fundamental group requires a connected graph")
-    if basepoint is None:
-        basepoint = graph.vertices[0]
-    parent: dict = {basepoint: None}
-    order = [basepoint]
-    queue = [basepoint]
-    while queue:
-        nxt = []
-        for v in queue:
-            for w in graph.neighbors(v):
-                if w not in parent:
-                    parent[w] = v
-                    order.append(w)
-                    nxt.append(w)
-        queue = nxt
-    tree_edges = {
-        frozenset((v, parent[v])) for v in order if parent[v] is not None
-    }
-    non_tree = [
-        (a, b) for a, b in graph.edges() if frozenset((a, b)) not in tree_edges
-    ]
-    if len(non_tree) <= len(_GENERATOR_LETTERS):
-        names = tuple(_GENERATOR_LETTERS[i] for i in range(len(non_tree)))
-    else:
+    order = [graph.vertices[0]]  # breadth first from the basepoint
+    parent = {order[0]: order[0]}  # the root is its own parent; tree edges are {v, parent[v]}
+    for v in order:  # grows while it is scanned
+        for w in graph.neighbors(v):
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    non_tree = [(a, b) for a, b in graph.edges() if b != parent[a] and a != parent[b]]
+    names = tuple(_GENERATOR_LETTERS[: len(non_tree)])
+    if len(non_tree) > len(_GENERATOR_LETTERS):
         names = tuple(f"g{i}" for i in range(len(non_tree)))
     edge_labels: dict = {}
     for i, (a, b) in enumerate(non_tree):
         edge_labels[(a, b)] = i + 1
         edge_labels[(b, a)] = -(i + 1)
-
-    def edge_letter(a, b) -> Optional[int]:
-        return edge_labels.get((a, b))
-
-    relators = []
-    for tri in complex_.triangles:
-        a, b, c = tri
-        word = []
-        for u, v in ((a, b), (b, c), (c, a)):
-            letter = edge_letter(u, v)
-            if letter is not None:
-                word.append(letter)
-        relators.append(tuple(word))
-    presentation = Presentation(names, tuple(relators), ())
-    return presentation, edge_labels
+    get = edge_labels.get
+    relators = tuple(
+        tuple(x for x in (get((a, b)), get((b, c)), get((c, a))) if x is not None)
+        for a, b, c in complex_.triangles
+    )
+    return Presentation(names, relators), edge_labels
 
 
 @dataclass
@@ -484,13 +487,14 @@ def is_triangulable(
     """"yes" when the fundamental group enumerates to index 1; "no" with a
     homology certificate (or a completed index above 1); "unknown" when the
     enumeration overflows without a certificate.  Overflow alone is never
-    reported as "no"."""
-    if not complex_.graph.is_connected():
+    reported as "no".  One pi1 presentation gives both H1 ranks (its
+    abelianization) and the enumeration's input."""
+    if not _is_connected(complex_.graph):
         raise ValueError("triangulability requires a connected graph")
-    h2 = homology_rank(complex_, 2)
+    presentation = pi1_presentation(complex_)
+    h2 = _abelian_rank(presentation, 2)
     if h2 > 0:
         return TriangulabilityVerdict("no", f"H1 over GF(2) has rank {h2}")
-    presentation = pi1_presentation(complex_)
     outcome = todd_coxeter(presentation, limit=limit)
     if outcome.completed:
         if outcome.index == 1:
@@ -498,7 +502,7 @@ def is_triangulable(
         return TriangulabilityVerdict(
             "no", f"fundamental group has finite order {outcome.index}"
         )
-    h3 = homology_rank(complex_, 3)
+    h3 = _abelian_rank(presentation, 3)
     if h3 > 0:
         return TriangulabilityVerdict("no", f"H1 over GF(3) has rank {h3}")
     return TriangulabilityVerdict(
@@ -507,32 +511,32 @@ def is_triangulable(
 
 
 def homology_rank(complex_: TriangleComplex, prime: int) -> int:
-    """dim H1(K; GF(prime)) = (E - V + 1) - rank of the triangle boundary
-    matrix, for a connected complex."""
-    graph = complex_.graph
-    if not graph.is_connected():
+    """dim H1(K; GF(prime)) for a connected complex, read off pi1 made
+    abelian: the number of pi1 generators minus the rank mod prime of the
+    relators' exponent-sum matrix.  This is (E - V + 1) - rank of the
+    triangle boundary matrix, since a cycle is fixed by its coordinates on
+    the non-tree edges, which are the pi1 generators."""
+    if not _is_connected(complex_.graph):
         raise ValueError("homology rank requires a connected graph")
-    edges = graph.edges()
-    edge_index = {frozenset(e): i for i, e in enumerate(edges)}
-    orientation = {frozenset(e): e for e in edges}
-    cycle_dim = len(edges) - graph.n + 1
-    if not complex_.triangles:
-        return cycle_dim
-    entries = []
-    for col, tri in enumerate(complex_.triangles):
-        a, b, c = tri
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = frozenset((u, v))
-            row = edge_index[key]
-            if prime == 2:
-                entries.append((row, col, 1))
-            else:
-                sign = 1 if orientation[key] == (u, v) else -1
-                entries.append((row, col, sign % prime))
-    boundary = MatrixGFp.from_entries(
-        prime, len(edges), len(complex_.triangles), entries
-    )
-    return cycle_dim - boundary.rank()
+    return _abelian_rank(pi1_presentation(complex_), prime)
+
+
+def _abelian_rank(presentation: Presentation, prime: int) -> int:
+    """Dimension over GF(prime) of the presented group made abelian, with
+    GF(prime) coefficients: the generators minus the rank of the exponent
+    sums.  These have one row per generator and one column per relator,
+    the boundary matrix's orientation, which eliminates faster than its
+    transpose on flag complexes."""
+    n = len(presentation.generators)
+    if not presentation.relators:
+        return n
+    entries = [
+        (abs(letter) - 1, col, 1 if letter > 0 else -1)
+        for col, word in enumerate(presentation.relators)
+        for letter in word
+    ]
+    sums = MatrixGFp.from_entries(prime, n, len(presentation.relators), entries)
+    return n - sums.rank()
 
 
 def build_cover(
@@ -544,18 +548,15 @@ def build_cover(
     group: vertices are (coset, vertex) pairs, tree edges stay within a
     sheet, non-tree edges cross sheets by the coset table.
 
-    ``subgroup_words`` may be strings over the pi1 generator letters or
-    signed-index tuples.  Returns (cover, projection map)."""
+    ``subgroup_words`` may be strings in the syntax that ``pi1`` prints
+    (:meth:`Presentation.parse_word`) or signed-index tuples.  Returns
+    (cover, projection map)."""
     presentation, edge_labels = _pi1_with_labels(complex_)
-    words = []
-    for w in subgroup_words:
-        if isinstance(w, str):
-            words.append(Presentation.from_strings(presentation.generators, [w]).relators[0])
-        else:
-            words.append(tuple(w))
-    enriched = Presentation(
-        presentation.generators, presentation.relators, tuple(words)
+    words = tuple(
+        presentation.parse_word(w) if isinstance(w, str) else tuple(w)
+        for w in subgroup_words
     )
+    enriched = Presentation(presentation.generators, presentation.relators, words)
     outcome = todd_coxeter(enriched, limit=limit)
     if not outcome.completed:
         raise CapacityError(
@@ -571,20 +572,15 @@ def build_cover(
         return table[coset][_column(letter)]
 
     vertices = [(c, v) for c in range(index) for v in complex_.graph.vertices]
-    edges = []
-    for a, b in complex_.graph.edges():
-        for c in range(index):
-            edges.append(((c, a), (cross(c, a, b), b)))
-    cover_graph = Graph(vertices, edges)
+    edges = [
+        ((c, a), (cross(c, a, b), b)) for a, b in complex_.graph.edges() for c in range(index)
+    ]
     triangles = []
-    for tri in complex_.triangles:
-        a, b, c = tri
-        for coset in range(index):
-            ca = coset
+    for a, b, c in complex_.triangles:
+        for ca in range(index):
             cb = cross(ca, a, b)
-            cc = cross(cb, b, c)
-            triangles.append(((ca, a), (cb, b), (cc, c)))
-    cover = TriangleComplex(cover_graph, tuple(triangles))
+            triangles.append(((ca, a), (cb, b), (cross(cb, b, c), c)))
+    cover = TriangleComplex(Graph(vertices, edges), tuple(triangles))
     projection = {(c, v): v for c, v in vertices}
     _verify_covering(cover, complex_, projection)
     return cover, projection

@@ -264,7 +264,7 @@ class _ChainLevel:
 
 
 class StabilizerChain:
-    """Randomized Schreier-Sims chain with a deterministic seed, whose order is
+    """Randomized Schreier-Sims chain with a fixed random seed, whose order is
     certified by a final Schreier-generator verification pass or by reaching
     ``order_bound``, a certified upper bound on the group order: a partial
     chain's order never exceeds the group order, so one that reaches the
@@ -283,14 +283,13 @@ class StabilizerChain:
         degree: int,
         generators: Sequence[Permutation],
         base_prefix: Sequence[int] = (),
-        seed: int = 1,
         order_limit: Optional[int] = None,
         order_bound: Optional[int] = None,
     ):
         self.degree = degree
         self.generators = [g for g in generators if not g.is_identity()]
         self.levels: list[_ChainLevel] = []
-        self._rng = Random(seed)
+        self._rng = Random(1)
         self._base_prefix = list(base_prefix)
         self._order_limit = order_limit
         self._order_bound = order_bound
@@ -846,13 +845,11 @@ def subgroup_search(
         orbits = _orbit_partition(group.degree, [g.images for g in gens])
         if any(predicate.order % len(orb) for orb in orbits):
             continue
-        sub_chain = StabilizerChain(
-            group.degree, gens, seed=1, order_limit=predicate.order
-        )
+        sub_chain = StabilizerChain(group.degree, gens, order_limit=predicate.order)
         if sub_chain.aborted or sub_chain.order() != predicate.order:
             continue
-        # the order limit only stops a build, so this is the seed-1 chain
-        # the group would build for itself
+        # the order limit only stops a build, so this is the chain the
+        # group would build for itself
         candidate = PermutationGroup(gens, degree=group.degree)
         candidate._chain = sub_chain
         return candidate

@@ -520,3 +520,27 @@ def s_covering_by_residues(f, s):
         return not is_isomorphism(residue(src, flag), res_tgt)
 
     return not src.walk_flags(visit, max_size=src.rank - 1)
+
+
+def homology_rank_by_boundary(complex_, prime):
+    """dim H1(K; GF(prime)) = (E - V + 1) - rank of the triangle boundary
+    matrix, for a connected complex: the boundary-matrix computation moved
+    here from ``geomforge.cover.homology_rank``, which now reads H1 off the
+    pi1 presentation.  Each edge is oriented as ``graph.edges()`` lists it."""
+    from geomforge.gf2 import MatrixGFp
+
+    graph = complex_.graph
+    edges = graph.edges()
+    edge_index = {frozenset(e): i for i, e in enumerate(edges)}
+    orientation = {frozenset(e): e for e in edges}
+    cycle_dim = len(edges) - graph.n + 1
+    if not complex_.triangles:
+        return cycle_dim
+    entries = []
+    for col, (a, b, c) in enumerate(complex_.triangles):
+        for u, v in ((a, b), (b, c), (c, a)):
+            key = frozenset((u, v))
+            sign = 1 if orientation[key] == (u, v) else -1
+            entries.append((edge_index[key], col, sign % prime))
+    boundary = MatrixGFp.from_entries(prime, len(edges), len(complex_.triangles), entries)
+    return cycle_dim - boundary.rank()

@@ -22,6 +22,17 @@ def strip_elapsed(report):
     return {k: v for k, v in report.items() if k != "elapsed_ms"}
 
 
+def write_k9(tmp_path):
+    """K9 with all 84 triangles as a complex file: 28 pi1 generators."""
+    path = tmp_path / "k9.json"
+    path.write_text(json.dumps({
+        "vertices": list(range(9)),
+        "edges": [list(e) for e in combinations(range(9), 2)],
+        "triangles": [list(t) for t in combinations(range(9), 3)],
+    }))
+    return path
+
+
 class TestExitCodes:
     def test_ok(self, capsys):
         code, report = run_cli(capsys, "natrep", "dim", "--builtin", "petersen")
@@ -171,12 +182,7 @@ class TestCommands:
     def test_pi1_with_more_generators_than_letters(self, capsys, tmp_path):
         # K9 with every triangle: 28 non-tree edges, named g0..g27, so the
         # relators are written with "*" and "^-1"
-        path = tmp_path / "k9.json"
-        path.write_text(json.dumps({
-            "vertices": list(range(9)),
-            "edges": [list(e) for e in combinations(range(9), 2)],
-            "triangles": [list(t) for t in combinations(range(9), 3)],
-        }))
+        path = write_k9(tmp_path)
         code, report = run_cli(capsys, "pi1", "--input", str(path))
         assert code == 0 and report["status"] == "ok"
         results = report["results"]
@@ -185,6 +191,22 @@ class TestCommands:
         # triangles through the basepoint 0 cross one non-tree edge
         assert results["relators"][:2] == ["g0", "g1"]
         assert results["relators"][28] == "g0*g7*g1^-1"  # triangle (1, 2, 3)
+
+    @pytest.mark.parametrize("words", [[], ["g0"], [""], ["g0*g7^-1", "g27"]])
+    def test_cover_takes_pi1_words(self, capsys, tmp_path, words):
+        # pi1 of K9 with every triangle is trivial: each subgroup has index 1
+        path = write_k9(tmp_path)
+        code, report = run_cli(capsys, "cover", "--input", str(path), "--subgroup", *words)
+        assert code == 0 and report["status"] == "ok"
+        assert report["inputs"]["subgroup"] == words
+        assert report["results"] == {"connected": True, "edges": 36, "triangles": 84, "vertices": 9}
+
+    @pytest.mark.parametrize("word", ["g28", "a", "g0*h1"])
+    def test_cover_unknown_generator(self, capsys, tmp_path, word):
+        path = write_k9(tmp_path)
+        code, report = run_cli(capsys, "cover", "--input", str(path), "--subgroup", word)
+        assert code == 4 and report["status"] == "bad-input"
+        assert report["results"]["error"].startswith("unknown generator")
 
     def test_cover_triangulable(self, capsys, tmp_path):
         complex_path = tmp_path / "c5.json"

@@ -7,13 +7,16 @@ from itertools import combinations
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from geomforge import build
 from geomforge.cover import (
     Presentation,
     PresentationError,
     TriangleComplex,
+    TriangulabilityVerdict,
+    _pi1_with_labels,
     build_cover,
     homology_rank,
     is_triangulable,
@@ -23,7 +26,7 @@ from geomforge.cover import (
 from geomforge.geom import collinearity_graph
 from geomforge.perm import CapacityError
 from geomforge.graphs import Graph, petersen_graph
-from oracles import naive_group_elements, naive_rank
+from oracles import homology_rank_by_boundary, naive_group_elements, naive_rank
 
 
 def cycle_graph(n):
@@ -32,6 +35,27 @@ def cycle_graph(n):
 
 def complete_graph(n):
     return Graph(range(n), list(combinations(range(n), 2)))
+
+
+def pseudo_projective_plane_3():
+    """A disc whose boundary 9-gon wraps three times around the triangle
+    0, 1, 2, through a ring v0..v8 and a centre: pi1 is cyclic of order 3,
+    so H1 is 0 over GF(2) and of rank 1 over GF(3)."""
+    ring = [("v", i) for i in range(9)]
+    triangles = []
+    for i, v in enumerate(ring):
+        w, b = ring[(i + 1) % 9], (i + 1) % 3
+        triangles += [(v, i % 3, b), (v, w, b), ("c", v, w)]
+    edges = {frozenset(e) for t in triangles for e in combinations(t, 2)}
+    graph = Graph([0, 1, 2, "c"] + ring, [tuple(e) for e in edges])
+    return TriangleComplex(graph, tuple(triangles))
+
+
+def flag_complex(g):
+    """The 2-skeleton of the flag complex of a geometry of rank 3: its
+    elements, its incident pairs and its chambers."""
+    graph = Graph(g.elements, g.incidence_pairs())
+    return TriangleComplex(graph, tuple(g.maximal_flags()))
 
 
 A5_RELATORS = ["aa", "bbb", "ababababab"]
@@ -247,6 +271,25 @@ class TestPresentationParsing:
         with pytest.raises(PresentationError, match=field):
             Presentation.from_json(payload)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(0, 40))
+    def test_parse_word_inverts_word_to_string(self, data, n):
+        # up to 26 generators are single letters, as pi1 names them; more
+        # are g0, g1, ..., joined by "*" with inverses written name^-1
+        names = string.ascii_lowercase[:n] if n <= 26 else [f"g{i}" for i in range(n)]
+        pres = Presentation(tuple(names))
+        letters = [sign * i for i in range(1, n + 1) for sign in (1, -1)]
+        word = tuple(data.draw(st.lists(st.sampled_from(letters), max_size=12))) if n else ()
+        assert pres.parse_word(pres.word_to_string(word)) == word
+
+    def test_parse_word_long_names(self):
+        pres = Presentation(tuple(f"g{i}" for i in range(30)))
+        assert pres.parse_word("g0*g27^-1*g3") == (1, -28, 4)
+        assert pres.parse_word("") == ()
+        for text in ("g30", "G0", "g0^-1^-1", "g0**g1", "g0g1"):
+            with pytest.raises(PresentationError, match="unknown generator"):
+                pres.parse_word(text)
+
 
 class TestPi1:
     def test_five_cycle(self):
@@ -275,6 +318,19 @@ class TestPi1:
         with pytest.raises(ValueError):
             TriangleComplex(cycle_graph(5), ((0, 1, 2),))
 
+    def test_empty_complex_rejected(self):
+        # the empty complex has no basepoint: each entry point refuses it
+        # with its own message instead of failing on vertices[0]
+        empty = TriangleComplex(Graph([], []))
+        for call, message in [
+            (pi1_presentation, "fundamental group"),
+            (lambda k: build_cover(k, []), "fundamental group"),
+            (lambda k: homology_rank(k, 2), "homology rank"),
+            (is_triangulable, "triangulability"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                call(empty)
+
 
 class TestTriangulability:
     def test_k4_yes(self):
@@ -292,6 +348,28 @@ class TestTriangulability:
         assert homology_rank(complex_, 2) == 6
         verdict = is_triangulable(complex_)
         assert verdict == "no"
+
+    def test_order_three_verdicts(self):
+        complex_ = pseudo_projective_plane_3()
+        assert is_triangulable(complex_) == TriangulabilityVerdict(
+            "no", "fundamental group has finite order 3"
+        )
+        # an enumeration capped below the index needs the GF(3) certificate
+        assert is_triangulable(complex_, limit=2) == TriangulabilityVerdict(
+            "no", "H1 over GF(3) has rank 1"
+        )
+
+    def test_builds_one_presentation(self, monkeypatch):
+        built = []
+
+        def counting(complex_):
+            built.append(complex_)
+            return _pi1_with_labels(complex_)
+
+        monkeypatch.setattr("geomforge.cover._pi1_with_labels", counting)
+        # this verdict reads H1 over GF(2), enumerates and reads H1 over GF(3)
+        assert is_triangulable(pseudo_projective_plane_3(), limit=2) == "no"
+        assert len(built) == 1
 
     def test_yes_implies_zero_homology(self):
         k4 = complete_graph(4)
@@ -339,6 +417,59 @@ class TestHomology:
         oracle = (45 - 15 + 1) - naive_rank(dense, 3)
         assert rank == oracle
         assert rank >= 16
+
+
+@st.composite
+def _connected_complexes(draw):
+    """A random spanning tree on 1..10 vertices of mixed label types, random
+    extra edges, and a random set of its 3-cliques as triangles."""
+    vertices = draw(st.lists(
+        st.one_of(st.integers(-99, 99), st.text(max_size=3)), unique=True, min_size=1, max_size=10
+    ))
+    tree = [(vertices[draw(st.integers(0, i - 1))], v) for i, v in enumerate(vertices) if i]
+    extra = [e for e in combinations(vertices, 2) if draw(st.booleans())]
+    graph = Graph(vertices, tree + extra)
+    triangles = [t for t in graph.triangles() if draw(st.booleans())]
+    return TriangleComplex(graph, tuple(triangles))
+
+
+class TestHomologyOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(_connected_complexes())
+    @example(TriangleComplex(Graph([0], [])))
+    @example(TriangleComplex(complete_graph(5), tuple(complete_graph(5).triangles())))
+    @example(pseudo_projective_plane_3())
+    def test_matches_boundary_matrix(self, complex_):
+        for prime in (2, 3):
+            assert homology_rank(complex_, prime) == homology_rank_by_boundary(complex_, prime)
+
+    def test_order_three_complex(self):
+        complex_ = pseudo_projective_plane_3()
+        for prime, rank in ((2, 0), (3, 1)):
+            assert homology_rank(complex_, prime) == rank
+            assert homology_rank_by_boundary(complex_, prime) == rank
+
+    @pytest.mark.parametrize("make, counts", [
+        (lambda: build.symplectic_polar_space(3), (63, 315, 135)),
+        (lambda: build.projective_geometry_2(4), (15, 35, 15)),
+    ], ids=["W(5,2)", "PG(3,2)"])
+    def test_building_flag_complexes_are_acyclic(self, make, counts):
+        # buildings of rank 3 are simply connected (Tits, 1981)
+        g = make().geometry
+        assert tuple(len(g.elements_of_type(t)) for t in (1, 2, 3)) == counts
+        complex_ = flag_complex(g)
+        assert homology_rank(complex_, 2) == homology_rank(complex_, 3) == 0
+
+    @pytest.mark.stretch
+    def test_m22_flag_complex(self):
+        from geomforge import m22
+
+        complex_ = flag_complex(m22.build_m22_geometry(1).geometry)
+        graph = complex_.graph
+        assert (graph.n, graph.num_edges, len(complex_.triangles)) == (1716, 8085, 6930)
+        # pi1 is cyclic of order 3: the triple cover by the 3.M22 geometry
+        assert homology_rank(complex_, 2) == 0
+        assert homology_rank(complex_, 3) == 1
 
 
 class TestCovers:

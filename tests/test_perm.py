@@ -359,7 +359,7 @@ def _unfiltered_search(group, predicate, seed, max_trials):
         if b.order() not in allowed:
             continue
         gens = required + [a, b]
-        sub_chain = StabilizerChain(group.degree, gens, seed=1, order_limit=predicate.order)
+        sub_chain = StabilizerChain(group.degree, gens, order_limit=predicate.order)
         if not sub_chain.aborted and sub_chain.order() == predicate.order:
             return gens
     return None
