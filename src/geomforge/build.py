@@ -269,17 +269,24 @@ def symplectic_polar_space(n: int) -> ConstructionMetadata:
     def apply(g: Permutation, sub):
         return tuple(sorted(g.images[v - 1] + 1 for v in sub))
 
-    action = element_action(geometry, group, apply)
-    meta = ConstructionMetadata(
-        geometry, group, action, provenance={"name": "sp", "n": n}
-    )
     if 2 <= n <= 3:
-        verdict = is_geometry(geometry)
-        if not verdict.ok:
-            raise ConstructionError(f"symplectic space fails axioms: {verdict.failures}")
-        if not is_flag_transitive(geometry, action):
-            raise ConstructionError("symplectic group is not flag-transitive")
-    return meta
+        action = _certified_action("symplectic space", geometry, group, apply)
+    else:
+        action = element_action(geometry, group, apply)
+    return ConstructionMetadata(geometry, group, action, provenance={"name": "sp", "n": n})
+
+
+def _certified_action(name: str, geometry: Geometry, group: PermutationGroup, apply) -> GroupAction:
+    """The action of ``group`` on the elements of ``geometry`` by ``apply``,
+    once the axioms and then flag-transitivity are checked; a failure raises
+    ConstructionError naming the construction."""
+    verdict = is_geometry(geometry)
+    if not verdict.ok:
+        raise ConstructionError(f"{name} fails axioms: {verdict.failures}")
+    action = element_action(geometry, group, apply)
+    if not is_flag_transitive(geometry, action):
+        raise ConstructionError(f"{name} is not flag-transitive")
+    return action
 
 
 # ---------------------------------------------------------------------------
@@ -445,18 +452,13 @@ def tilde_geometry(seed: int) -> ConstructionMetadata:
 
     pattern = SubgroupPatternInput(group=group, dim_h=6, subspace_points=e_points)
     geometry = subgroup_pattern_geometry(pattern)
-    verdict = is_geometry(geometry)
-    if not verdict.ok:
-        raise ConstructionError(f"tilde candidate fails axioms: {verdict.failures}")
+    action = _certified_action("tilde candidate", geometry, group, _apply_points)
     points = geometry.elements_of_type(1)
     lines = geometry.elements_of_type(2)
     if len(points) != 45 or len(lines) != 45:
         raise ConstructionError(
             f"tilde counts are {len(points)}/{len(lines)}, expected 45/45"
         )
-    action = element_action(geometry, group, _apply_points)
-    if not is_flag_transitive(geometry, action):
-        raise ConstructionError("tilde action is not flag-transitive")
 
     # quotient by the scalar subgroup must 1-cover GQ(2,2)
     o3_action = induced_action(scalar_group, geometry.elements, _apply_points)

@@ -2,7 +2,10 @@
 
 One JSON report per run on stdout, human-readable logs on stderr.  Exit
 codes: 0 ok, 2 a verification failed, 3 capacity or overflow, 4 malformed
-input or usage.  Every randomized subcommand requires an explicit --seed.
+input or usage.  A usage error gets a bad-input report like any other
+malformed input; its ``command`` names the subcommand when argv names one
+and is null otherwise.  Only ``--help`` prints no report.  Every randomized
+subcommand requires an explicit --seed.
 """
 
 from __future__ import annotations
@@ -25,13 +28,10 @@ EXIT_CHECK_FAILED = 2
 EXIT_CAPACITY = 3
 EXIT_BAD_INPUT = 4
 
-_BUILTIN_NAMES = ("petersen", "pg", "sp", "gq22", "tilde", "m22")
-
 
 class _Stop(RuntimeError):
-    """Ends a command with a report of ``results`` under ``status``."""
-
-    status, exit_code = "check-failed", EXIT_CHECK_FAILED
+    """Ends a command with a report of ``results``, under the status that
+    ``_FAILURES`` gives its class."""
 
     def __init__(self, results: dict):
         super().__init__(results)
@@ -45,7 +45,18 @@ class CheckFailed(_Stop):
 class _Capacity(_Stop):
     """A bounded computation overflowed."""
 
-    status, exit_code = "capacity", EXIT_CAPACITY
+
+# the report status and exit code of each failure, found along the
+# exception's MRO
+_FAILURES = {
+    CheckFailed: ("check-failed", EXIT_CHECK_FAILED),
+    build.ConstructionError: ("check-failed", EXIT_CHECK_FAILED),
+    _Capacity: ("capacity", EXIT_CAPACITY),
+    CapacityError: ("capacity", EXIT_CAPACITY),
+    ValueError: ("bad-input", EXIT_BAD_INPUT),
+    KeyError: ("bad-input", EXIT_BAD_INPUT),
+    OSError: ("bad-input", EXIT_BAD_INPUT),
+}
 
 
 def _log(message: str) -> None:
@@ -56,43 +67,36 @@ def _digest_file(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _emit(command: str, inputs: dict, results: dict, status: str, started: float) -> None:
-    report = {
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "status": status,
-        "elapsed_ms": int((time.monotonic() - started) * 1000),
-    }
-    print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+def _m22_geometry(seed: int) -> build.ConstructionMetadata:
+    # imported on use: no other command needs it, and importing it adds a
+    # few milliseconds to every CLI start
+    from . import m22
+
+    return m22.build_m22_geometry(seed)
+
+
+# each builtin's required arguments and its constructor; the lambdas look
+# the constructors up when called, so a wrapper later set on the module
+# (a monkeypatch, a profiler) is the one that runs
+_BUILTINS = {
+    "petersen": ((), lambda: build.petersen_geometry()),
+    "pg": (("n",), lambda n: build.projective_geometry_2(n)),
+    "sp": (("n",), lambda n: build.symplectic_polar_space(n)),
+    "gq22": ((), lambda: build.symplectic_polar_space(2)),
+    "tilde": (("seed",), lambda seed: build.tilde_geometry(seed)),
+    "m22": (("seed",), _m22_geometry),
+}
 
 
 def _builtin_metadata(name: str, n: int | None, seed: int | None) -> build.ConstructionMetadata:
-    if name == "petersen":
-        return build.petersen_geometry()
-    if name == "pg":
-        if n is None:
-            raise ValueError("--n is required for the pg builtin")
-        return build.projective_geometry_2(n)
-    if name == "sp":
-        if n is None:
-            raise ValueError("--n is required for the sp builtin")
-        return build.symplectic_polar_space(n)
-    if name == "gq22":
-        return build.symplectic_polar_space(2)
-    if name == "tilde":
-        if seed is None:
-            raise ValueError("--seed is required for the tilde builtin")
-        return build.tilde_geometry(seed)
-    if name == "m22":
-        if seed is None:
-            raise ValueError("--seed is required for the m22 builtin")
-        # imported on use: no other command needs it, and importing it
-        # adds a few milliseconds to every CLI start
-        from . import m22
-
-        return m22.build_m22_geometry(seed)
-    raise ValueError(f"unknown builtin {name!r}; choose from {_BUILTIN_NAMES}")
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin {name!r}; choose from {tuple(_BUILTINS)}")
+    required, construct = _BUILTINS[name]
+    values = {"n": n, "seed": seed}
+    for key in required:
+        if values[key] is None:
+            raise ValueError(f"--{key} is required for the {name} builtin")
+    return construct(*(values[key] for key in required))
 
 
 def _builtin(args) -> tuple[build.ConstructionMetadata, dict]:
@@ -162,8 +166,6 @@ def _cmd_diagram(args):
 
 
 def _cmd_natrep(args):
-    if args.action != "dim":
-        raise ValueError(f"unknown natrep action {args.action!r}")
     if args.split:
         if args.builtin != "tilde":
             raise ValueError("--split is only available for the tilde builtin")
@@ -207,10 +209,11 @@ def _cmd_cover(args):
     inputs = {"input": _digest_file(args.input), "subgroup": list(args.subgroup)}
     complex_ = _load_complex(args.input)
     if args.triangulable:
-        verdict = cover.is_triangulable(complex_, limit=args.limit)
+        # one presentation gives the verdict and the homology rank
+        verdict, h1 = cover._triangulability(complex_, args.limit)
         results = {"triangulable": verdict.verdict, "reason": verdict.reason}
         if args.homology_prime:
-            results["homology_rank"] = cover.homology_rank(complex_, args.homology_prime)
+            results["homology_rank"] = h1(args.homology_prime)
         return inputs, results
     covering, _ = cover.build_cover(complex_, args.subgroup, limit=args.limit)
     results = {
@@ -240,15 +243,13 @@ def _cmd_local(args):
         if not verdict.ok:
             raise CheckFailed(results)
         return inputs, results
-    if args.action == "kernels":
-        # one series serves the report and condition (*); a negative s_max
-        # goes through unchanged so that kernel_series refuses it
-        radius = max(args.smax, g.rank - 1) if args.smax >= 0 else args.smax
-        series = local.kernel_series(meta, vertex, radius)
-        results = local.KernelSeriesReport(vertex, series.orders[: args.smax + 1]).to_json()
-        results["condition_star"] = local.condition_star(meta, series)
-        return inputs, results
-    raise ValueError(f"unknown local action {args.action!r}")
+    # kernels: one series serves the report and condition (*); a negative
+    # s_max goes through unchanged so that kernel_series refuses it
+    radius = max(args.smax, g.rank - 1) if args.smax >= 0 else args.smax
+    series = local.kernel_series(meta, vertex, radius)
+    results = local.KernelSeriesReport(vertex, series.orders[: args.smax + 1]).to_json()
+    results["condition_star"] = local.condition_star(meta, series)
+    return inputs, results
 
 
 def _cmd_hyp61(args):
@@ -283,39 +284,52 @@ def _cmd_bench(args):
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as bad input, so that it ends in a report like
+    any other; its subparsers are of this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geomforge",
         description="diagram geometries of Petersen and tilde type: "
         "constructions, verification and analysis",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallelism cap; results are independent of it")
-    sub = parser.add_subparsers(dest="command")
 
-    def add_geometry_source(p):
-        p.add_argument("--input", help="geometry JSON file")
-        p.add_argument("--builtin", choices=_BUILTIN_NAMES)
+    def count(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        return value
+
+    parser.add_argument("--threads", type=count, default=1,
+                        help="parallelism cap; results are independent of it")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_builtin(p, required: bool):
+        p.add_argument("--builtin", required=required, choices=_BUILTINS)
         p.add_argument("--n", type=int, help="rank parameter for pg/sp")
         p.add_argument("--seed", type=int, help="seed for randomized builtins")
 
+    def add_geometry_source(p):
+        p.add_argument("--input", help="geometry JSON file")
+        add_builtin(p, False)
+
     p_build = sub.add_parser("build", help="construct a builtin geometry")
-    p_build.add_argument("--builtin", required=True, choices=_BUILTIN_NAMES)
-    p_build.add_argument("--n", type=int)
-    p_build.add_argument("--seed", type=int)
+    add_builtin(p_build, required=True)
     p_build.add_argument("--out", help="write the geometry JSON here")
 
     p_tilde = sub.add_parser("tilde", help="tilde geometry shortcuts")
-    tilde_sub = p_tilde.add_subparsers(dest="tilde_action")
-    p_tilde_build = tilde_sub.add_parser("build")
+    p_tilde_build = p_tilde.add_subparsers(dest="action", required=True).add_parser("build")
     p_tilde_build.add_argument("--seed", type=int, required=True)
     p_tilde_build.add_argument("--out")
+    p_tilde_build.set_defaults(command="build", builtin="tilde", n=None)
 
-    p_verify = sub.add_parser("verify", help="check the geometry axioms")
-    add_geometry_source(p_verify)
-
-    p_diagram = sub.add_parser("diagram", help="classify rank-2 residues")
-    add_geometry_source(p_diagram)
+    add_geometry_source(sub.add_parser("verify", help="check the geometry axioms"))
+    add_geometry_source(sub.add_parser("diagram", help="classify rank-2 residues"))
 
     p_natrep = sub.add_parser("natrep", help="universal natural module")
     p_natrep.add_argument("action", choices=["dim"])
@@ -341,17 +355,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_local = sub.add_parser("local", help="local analysis of a builtin")
     p_local.add_argument("action", choices=["star", "kernels"])
-    p_local.add_argument("--builtin", required=True, choices=_BUILTIN_NAMES)
-    p_local.add_argument("--n", type=int)
-    p_local.add_argument("--seed", type=int)
+    add_builtin(p_local, required=True)
     p_local.add_argument("--vertex", type=int, default=0,
                          help="index of the top-type element to analyse")
     p_local.add_argument("--smax", type=int, default=2)
 
-    p_hyp = sub.add_parser("hyp61", help="girth-5 hypothesis check")
-    p_hyp.add_argument("--builtin", required=True, choices=_BUILTIN_NAMES)
-    p_hyp.add_argument("--n", type=int)
-    p_hyp.add_argument("--seed", type=int)
+    add_builtin(sub.add_parser("hyp61", help="girth-5 hypothesis check"), required=True)
 
     p_bench = sub.add_parser("bench", help="GF(2) rank timings")
     p_bench.add_argument("--sizes", default="", help="comma-separated sizes")
@@ -376,53 +385,28 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     started = time.monotonic()
-    parser = _build_parser()
+    # the parser fills this in as it reads argv, so a usage error still
+    # finds the subcommand that argv named
+    args = argparse.Namespace(command=None)
+    inputs, status, code = {}, "ok", EXIT_OK
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_BAD_INPUT if exc.code not in (0, None) else 0
-    if args.threads < 1:
-        _log("--threads must be at least 1")
-        return EXIT_BAD_INPUT
-    command = args.command
-    if command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_BAD_INPUT
-    if command == "tilde":
-        if getattr(args, "tilde_action", None) != "build":
-            _log("usage: geomforge tilde build --seed S [--out FILE]")
-            return EXIT_BAD_INPUT
-        command = "build"
-        args.builtin = "tilde"
-        args.n = None
-    handler = _HANDLERS[command]
-    try:
-        inputs, results = handler(args)
-    except _Stop as exc:
-        _emit(command, {}, exc.results, exc.status, started)
-        return exc.exit_code
-    except build.ConstructionError as exc:
-        _log(f"construction check failed: {exc}")
-        _emit(command, {}, {"error": str(exc)}, "check-failed", started)
-        return EXIT_CHECK_FAILED
-    except CapacityError as exc:
-        _log(f"capacity: {exc}")
-        _emit(command, {}, {"error": str(exc)}, "capacity", started)
-        return EXIT_CAPACITY
-    except (
-        ValueError,
-        KeyError,
-        OSError,
-        json.JSONDecodeError,
-        geom.GeometryError,
-        cover.PresentationError,
-        gf2.ShapeError,
-    ) as exc:
-        _log(f"bad input: {exc}")
-        _emit(command, {}, {"error": str(exc)}, "bad-input", started)
-        return EXIT_BAD_INPUT
-    _emit(command, inputs, results, "ok", started)
-    return EXIT_OK
+        _build_parser().parse_args(argv, args)
+        inputs, results = _HANDLERS[args.command](args)
+    except SystemExit as exc:  # only --help exits: usage errors raise
+        return exc.code
+    except tuple(_FAILURES) as exc:
+        status, code = next(_FAILURES[c] for c in type(exc).__mro__ if c in _FAILURES)
+        _log(f"{status}: {exc}")
+        results = exc.results if isinstance(exc, _Stop) else {"error": str(exc)}
+    report = {
+        "command": args.command,
+        "inputs": inputs,
+        "results": results,
+        "status": status,
+        "elapsed_ms": int((time.monotonic() - started) * 1000),
+    }
+    print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+    return code
 
 
 if __name__ == "__main__":

@@ -5,9 +5,10 @@ covers.
 Words are tuples of signed 1-based generator indices (+i for generator i,
 -i for its inverse).  As strings (:meth:`Presentation.word_to_string` and
 its inverse :meth:`Presentation.parse_word`) they are single-letter
-generator names with uppercase meaning inverse, or, when a name is longer,
-names joined by ``*`` with inverses as ``name^-1``.  The JSON file format
-uses single letters.
+generator names with uppercase meaning inverse, when every name and its
+``upper()`` are distinct single letters; otherwise they are names joined
+by ``*`` with inverses as ``name^-1``.  The JSON file format uses single
+letters.
 
 One presentation of pi1 serves everything built on a triangle complex:
 H1 over GF(p) is pi1 made abelian, read off the exponent sums of its
@@ -28,7 +29,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cache, partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -85,8 +87,10 @@ class Presentation:
         subgroup: Sequence[str] = (),
     ) -> "Presentation":
         """Parse words over single-letter generator names; uppercase means
-        inverse.  Each of the three fields is a sequence of strings; a bare
-        string is refused rather than read one character at a time."""
+        inverse, so each name's ``upper()`` must be one letter unlike every
+        name and every other inverse.  Each of the three fields is a sequence
+        of strings; a bare string is refused rather than read one character
+        at a time."""
         fields = {"generators": generators, "relators": relators, "subgroup": subgroup}
         for label, value in fields.items():
             if isinstance(value, str):
@@ -97,6 +101,11 @@ class Presentation:
                     f"string parsing needs single lowercase letters, got {name!r}"
                 )
         bare = cls(tuple(generators))
+        if bare._letters() is None:
+            raise PresentationError(
+                f"string parsing needs each name's upper() to be one letter unlike every "
+                f"other name and inverse, got {list(bare.generators)}"
+            )
         return cls(
             bare.generators,
             tuple(map(bare.parse_word, relators)),
@@ -116,9 +125,10 @@ class Presentation:
 
     def word_to_string(self, word: Word) -> str:
         """The word over single-letter names with uppercase inverses, as in
-        the JSON format; with a longer name among the generators, the
-        letters joined by ``*`` with inverses as ``name^-1``."""
-        single = self._single_letters()
+        the JSON format; when a name is longer or an inverse is not a letter
+        of its own (:meth:`_letters`), the names joined by ``*`` with
+        inverses as ``name^-1``."""
+        single = self._letters() is not None
         out = []
         for letter in word:
             name = self.generators[abs(letter) - 1]
@@ -129,15 +139,14 @@ class Presentation:
 
     def parse_word(self, text: str) -> Word:
         """The word that :meth:`word_to_string` writes as ``text``."""
+        letters = self._letters()
+        if letters is not None:
+            for ch in text:
+                if ch not in letters:
+                    raise PresentationError(f"unknown generator {ch!r} in {text!r}")
+            return tuple(letters[ch] for ch in text)
         index = {name: i + 1 for i, name in enumerate(self.generators)}
         out = []
-        if self._single_letters():
-            for ch in text:
-                low = ch.lower()
-                if low not in index:
-                    raise PresentationError(f"unknown generator {ch!r} in {text!r}")
-                out.append(index[low] if ch.islower() else -index[low])
-            return tuple(out)
         for name in text.split("*") if text else ():
             if name in index:
                 out.append(index[name])
@@ -147,8 +156,17 @@ class Presentation:
                 raise PresentationError(f"unknown generator {name!r} in {text!r}")
         return tuple(out)
 
-    def _single_letters(self) -> bool:
-        return all(len(name) == 1 for name in self.generators)
+    def _letters(self) -> dict | None:
+        """Each name to its index and its ``upper()`` to minus that index,
+        when these 2n strings are distinct single letters; else None, and
+        words are written in the ``*`` syntax."""
+        if any(len(name) != 1 for name in self.generators):
+            return None
+        letters = {}
+        for i, name in enumerate(self.generators, start=1):
+            letters[name], letters[name.upper()] = i, -i
+        exact = len(letters) == 2 * len(self.generators) and all(len(k) == 1 for k in letters)
+        return letters if exact else None
 
 
 @dataclass
@@ -489,25 +507,30 @@ def is_triangulable(
     enumeration overflows without a certificate.  Overflow alone is never
     reported as "no".  One pi1 presentation gives both H1 ranks (its
     abelianization) and the enumeration's input."""
+    return _triangulability(complex_, limit)[0]
+
+
+def _triangulability(
+    complex_: TriangleComplex, limit: int
+) -> tuple[TriangulabilityVerdict, Callable[[int], int]]:
+    """is_triangulable's verdict, and H1's rank over GF(p) as a function of
+    p on the same presentation, which eliminates each prime at most once."""
     if not _is_connected(complex_.graph):
         raise ValueError("triangulability requires a connected graph")
     presentation = pi1_presentation(complex_)
-    h2 = _abelian_rank(presentation, 2)
-    if h2 > 0:
-        return TriangulabilityVerdict("no", f"H1 over GF(2) has rank {h2}")
+    h1 = cache(partial(_abelian_rank, presentation))
+    if h1(2) > 0:
+        return TriangulabilityVerdict("no", f"H1 over GF(2) has rank {h1(2)}"), h1
     outcome = todd_coxeter(presentation, limit=limit)
+    if outcome.completed and outcome.index == 1:
+        return TriangulabilityVerdict("yes", "fundamental group is trivial"), h1
     if outcome.completed:
-        if outcome.index == 1:
-            return TriangulabilityVerdict("yes", "fundamental group is trivial")
-        return TriangulabilityVerdict(
-            "no", f"fundamental group has finite order {outcome.index}"
-        )
-    h3 = _abelian_rank(presentation, 3)
-    if h3 > 0:
-        return TriangulabilityVerdict("no", f"H1 over GF(3) has rank {h3}")
-    return TriangulabilityVerdict(
-        "unknown", f"coset enumeration overflowed at {limit}"
-    )
+        reason = f"fundamental group has finite order {outcome.index}"
+        return TriangulabilityVerdict("no", reason), h1
+    if h1(3) > 0:
+        return TriangulabilityVerdict("no", f"H1 over GF(3) has rank {h1(3)}"), h1
+    reason = f"coset enumeration overflowed at {limit}"
+    return TriangulabilityVerdict("unknown", reason), h1
 
 
 def homology_rank(complex_: TriangleComplex, prime: int) -> int:

@@ -24,10 +24,11 @@ from .build import (
     ConstructionMetadata,
     SubgroupPatternInput,
     _apply_points,
+    _certified_action,
     _mask_to_bits,
     subgroup_pattern_geometry,
 )
-from .geom import element_action, is_flag_transitive, is_geometry
+from .gf2 import _basis_of, _span
 from .perm import GroupAction, Permutation, PermutationGroup, StabilizerChain
 
 __all__ = [
@@ -70,15 +71,12 @@ class GolayCode:
 
     def __init__(self, basis: list[int]):
         self.basis = list(basis)
-        words = [0]
-        for b in self.basis:
-            words += [w ^ b for w in words]
-        self.words = words
-        self.octads = sorted(w for w in words if w.bit_count() == 8)
+        self.words = (0, *_span(self.basis))
+        self.octads = [w for w in self.words if w.bit_count() == 8]
         self._rep = self._coset_representatives()
 
     def verify(self) -> None:
-        if len(self.basis) != 12 or len(set(self.words)) != 4096:
+        if len(self.basis) != 12 or len(self.words) != 4096:
             raise ConstructionError("Golay basis does not span a 12-dimensional code")
         weights = sorted({w.bit_count() for w in self.words if w})
         if min(weights) != 8 or len(self.octads) != 759:
@@ -92,10 +90,8 @@ class GolayCode:
                     raise ConstructionError("Golay basis is not self-orthogonal")
 
     def contains(self, word: int) -> bool:
-        w = word
-        for b in sorted(self.basis, reverse=True):
-            w = min(w, w ^ b)
-        return w == 0
+        """Whether adding ``word`` to the basis leaves the span's dimension."""
+        return len(_basis_of([*self.basis, word])) == len(_basis_of(self.basis))
 
     def syndrome(self, mask: int) -> int:
         s = 0
@@ -263,15 +259,10 @@ def build_m22_geometry(seed: int) -> ConstructionMetadata:
         group=module_group, dim_h=11, subspace_points=e_points
     )
     geometry = subgroup_pattern_geometry(pattern)
-    verdict = is_geometry(geometry)
-    if not verdict.ok:
-        raise ConstructionError(f"M22 geometry fails axioms: {verdict.failures}")
+    action = _certified_action("M22 geometry", geometry, module_group, _apply_points)
     counts = [len(geometry.elements_of_type(t)) for t in (1, 2, 3)]
     if counts != [231, 1155, 330]:
         raise ConstructionError(f"M22 geometry counts {counts}")
-    action = element_action(geometry, module_group, _apply_points)
-    if not is_flag_transitive(geometry, action):
-        raise ConstructionError("M22 geometry action is not flag-transitive")
     vectors = {p: _mask_to_bits(p[0] + 1, 11) for p in geometry.elements_of_type(1)}
     return ConstructionMetadata(
         geometry,

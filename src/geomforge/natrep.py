@@ -97,8 +97,8 @@ def o3_split_dims(g: Geometry, meta: ConstructionMetadata) -> NatRepResult:
     point_index = {p: i for i, p in enumerate(points)}
     perm = _point_permutation(g, meta, points, point_index)
 
-    relations = relation_matrix(g)
-    rank = relations.rank()
+    row_basis = relation_matrix(g).row_space()  # r x n
+    rank = row_basis.rows
     # T = P + I where P e_p = e_{g(p)}: row p has ones at p and at perm[p]
     t_entries = []
     for p in range(n):
@@ -107,7 +107,6 @@ def o3_split_dims(g: Geometry, meta: ConstructionMetadata) -> NatRepResult:
             t_entries.append((p, perm[p], 1))
     t_matrix = MatrixGFp.from_entries(2, n, n, t_entries)
 
-    row_basis = relations.row_space()  # r x n
     annihilator = row_basis.nullspace()  # (n-r) x n; x in R iff N x = 0
     # centralizer: {x : T x in R} / R
     constraint = annihilator.mul(t_matrix.transpose())

@@ -95,6 +95,36 @@ class TestProjective:
         assert is_flag_transitive(fano.geometry, fano.action)
 
 
+def _build_m22_afresh():
+    from geomforge import m22
+
+    # build_m22_geometry caches by seed; its unwrapped body builds afresh
+    return m22.build_m22_geometry.__wrapped__(11)
+
+
+@pytest.mark.parametrize("construct", [
+    lambda: build.symplectic_polar_space(2),
+    lambda: build.symplectic_polar_space(3),
+    lambda: build.tilde_geometry(42),
+    pytest.param(_build_m22_afresh, marks=pytest.mark.stretch),
+], ids=["sp2", "sp3", "tilde", "m22"])
+def test_one_certification_step(monkeypatch, construct):
+    # each verified build checks the axioms, then builds the element action
+    # and checks flag-transitivity on it
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("is_geometry", "element_action", "is_flag_transitive"):
+        monkeypatch.setattr(build, name, recording(name, getattr(build, name)))
+    construct()
+    assert calls[:3] == ["is_geometry", "element_action", "is_flag_transitive"]
+
+
 class TestSymplectic:
     def test_n1_three_points(self):
         meta = build.symplectic_polar_space(1)

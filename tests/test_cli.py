@@ -90,6 +90,25 @@ class TestExitCodes:
         code = main(["frobnicate"])
         assert code == 4
 
+    @pytest.mark.parametrize("argv, command", [
+        (["frobnicate"], None),
+        ([], None),
+        (["--threads", "0", "build", "--builtin", "petersen"], None),
+        (["tilde"], "tilde"),
+        (["cover", "--input", "F", "--subgroup", "-a"], "cover"),
+    ], ids=["unknown-subcommand", "no-arguments", "zero-threads", "bare-tilde", "extra-argument"])
+    def test_usage_error_reports(self, capsys, argv, command):
+        # the report names the subcommand when argv names one
+        code, report = run_cli(capsys, *argv)
+        assert code == 4 and report["status"] == "bad-input" and report["results"]["error"]
+        assert report["command"] == command and report["inputs"] == {}
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["cover", "-h"]])
+    def test_help_prints_no_report(self, capsys, argv):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: geomforge") and '"status"' not in out
+
     def test_missing_file(self, capsys):
         code, report = run_cli(capsys, "verify", "--input", "/nonexistent.json")
         assert code == 4

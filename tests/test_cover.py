@@ -282,6 +282,38 @@ class TestPresentationParsing:
         word = tuple(data.draw(st.lists(st.sampled_from(letters), max_size=12))) if n else ()
         assert pres.parse_word(pres.word_to_string(word)) == word
 
+    def test_kelvin_sign_is_not_an_inverse(self):
+        # KELVIN SIGN lowers to "k" but is not "k".upper()
+        with pytest.raises(PresentationError, match="unknown generator"):
+            Presentation.from_strings(["k"], ["\u212a"])
+
+    @pytest.mark.parametrize("names", [["i", "\u0131"], ["\u00df"]], ids=["dotless-i", "sharp-s"])
+    def test_names_without_one_letter_inverses_refused(self, names):
+        # "i" and dotless "ı" both upper to "I"; "ß" uppers to "SS"
+        with pytest.raises(PresentationError, match="upper"):
+            Presentation.from_strings(names)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.characters(categories=["L"]), min_size=1, max_size=4, unique=True),
+        st.lists(st.tuples(st.integers(0, 3), st.sampled_from([1, -1])), max_size=8),
+    )
+    @example(["i", "\u0131"], [(0, -1), (1, -1)])
+    @example(["\u00df"], [(0, -1)])
+    @example(["k", "K"], [(0, 1), (1, -1)])
+    def test_letter_names_round_trip(self, names, picks):
+        # any letters, not only ASCII: parse_word inverts word_to_string, and
+        # from_strings either refuses the names or reads the word back
+        pres = Presentation(tuple(names))
+        word = tuple(sign * (i % len(names) + 1) for i, sign in picks)
+        text = pres.word_to_string(word)
+        assert pres.parse_word(text) == word
+        try:
+            read = Presentation.from_strings(names, [text])
+        except PresentationError:
+            return
+        assert read.relators == (word,)
+
     def test_parse_word_long_names(self):
         pres = Presentation(tuple(f"g{i}" for i in range(30)))
         assert pres.parse_word("g0*g27^-1*g3") == (1, -28, 4)
@@ -370,6 +402,39 @@ class TestTriangulability:
         # this verdict reads H1 over GF(2), enumerates and reads H1 over GF(3)
         assert is_triangulable(pseudo_projective_plane_3(), limit=2) == "no"
         assert len(built) == 1
+
+    @pytest.mark.parametrize("prime", [2, 3])
+    def test_cli_builds_one_presentation_and_eliminates_once(self, capsys, monkeypatch, tmp_path, prime):
+        # limit 2 lies below pi1's order 3, so the verdict reads H1 over GF(2)
+        # and GF(3); the report's homology rank reuses the verdict's
+        from geomforge.cli import main
+        from geomforge.gf2 import MatrixGFp
+
+        calls = {"pi1": 0, "rank": 0}
+
+        def counting(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr("geomforge.cover._pi1_with_labels", counting("pi1", _pi1_with_labels))
+        monkeypatch.setattr(MatrixGFp, "rank", counting("rank", MatrixGFp.rank))
+        complex_ = pseudo_projective_plane_3()
+        index = {v: i for i, v in enumerate(complex_.graph.vertices)}
+        path = tmp_path / "order3.json"
+        path.write_text(json.dumps({
+            "vertices": list(index.values()),
+            "edges": [[index[a], index[b]] for a, b in complex_.graph.edges()],
+            "triangles": [[index[v] for v in t] for t in complex_.triangles],
+        }))
+        argv = ["cover", "--input", str(path), "--triangulable", "--limit", "2",
+                "--homology-prime", str(prime)]
+        assert main(argv) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results == {"triangulable": "no", "reason": "H1 over GF(3) has rank 1",
+                           "homology_rank": prime - 2}
+        assert calls == {"pi1": 1, "rank": 2}
 
     def test_yes_implies_zero_homology(self):
         k4 = complete_graph(4)

@@ -37,6 +37,16 @@ class TestGolay:
         assert list(rep.items()) == list(want.items())
         assert all(code.syndrome(m) == s for s, m in rep.items())
 
+    def test_contains_on_any_basis(self):
+        # b[0] added to every other basis vector: the same code, but leading
+        # bits repeat, which a sift by sorted basis vectors cannot handle
+        code = m22.golay_code()
+        b = code.basis
+        same = m22.GolayCode([b[0]] + [v ^ b[0] for v in b[1:]])
+        assert all(same.contains(w) for w in code.words)
+        assert not any(same.contains(w ^ 1) for w in code.words)
+        assert same.words == code.words
+
     def test_manifest_tampering_detected(self, tmp_path, monkeypatch):
         import shutil
 

@@ -87,6 +87,28 @@ class TestO3Split:
         result = o3_split_dims(t0.geometry, t0)
         assert sum(result.split) == result.total_dim
 
+    def test_relation_matrix_eliminated_once(self, t0, monkeypatch):
+        # the rank is read off the row space's rows
+        from geomforge import natrep
+        from geomforge.gf2 import MatrixGFp
+
+        built, eliminated = [], []
+        relation_matrix_, eliminate = natrep.relation_matrix, MatrixGFp._eliminate
+
+        def building(g):
+            built.append(relation_matrix_(g))
+            return built[-1]
+
+        def eliminating(self, *args, **kwargs):
+            eliminated.append(self)
+            return eliminate(self, *args, **kwargs)
+
+        monkeypatch.setattr(natrep, "relation_matrix", building)
+        monkeypatch.setattr(MatrixGFp, "_eliminate", eliminating)
+        assert o3_split_dims(t0.geometry, t0).split == (6, 5)
+        assert len(built) == 1
+        assert sum(m is built[0] for m in eliminated) == 1
+
     def test_requires_o3(self, p0):
         with pytest.raises(ValueError):
             o3_split_dims(p0.geometry, p0)
