@@ -11,21 +11,20 @@ permutation group supplies the vector action).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .geom import (
     CapacityError,
     Geometry,
     element_action,
-    is_flag_transitive,
     is_geometry,
     isomorphic,
     quotient_by_action,
     is_s_covering,
+    _one_flag_orbit,
 )
-from .gf2 import _span, _subspace_dim, _subspaces
 from .perm import (
     GroupAction,
     Permutation,
@@ -104,7 +103,52 @@ def petersen_geometry() -> ConstructionMetadata:
 
 
 # ---------------------------------------------------------------------------
-# GF(2) subspace machinery
+# GF(2) subspace machinery: subspaces as sorted tuples of nonzero bit masks
+
+
+def _basis_of(vectors: Iterable[int]) -> list[int]:
+    """A basis of the span of the masks in echelon form: each vector is
+    reduced by the basis vector with its leading bit until it is zero or
+    has a leading bit of its own."""
+    basis: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            lead = v.bit_length() - 1
+            if lead not in basis:
+                basis[lead] = v
+                break
+            v ^= basis[lead]
+    return list(basis.values())
+
+
+def _span(vectors: Iterable[int]) -> tuple[int, ...]:
+    """All nonzero vectors of the GF(2)-span, as a sorted tuple of masks."""
+    out = {0}
+    for b in _basis_of(vectors):
+        out |= {x ^ b for x in out}
+    out.discard(0)
+    return tuple(sorted(out))
+
+
+def _subspaces(vectors: Iterable[int], dim: int) -> list[tuple[int, ...]]:
+    """Every dim-subspace of the span of the masks exactly once, as a sorted
+    list.  In coordinates over ``_basis_of`` each has one reduced echelon
+    basis: row i is basis[p_i] for pivot positions p_0 < ... < p_(dim-1),
+    plus any combination of the later non-pivot basis vectors."""
+    basis = _basis_of(vectors)
+    out = []
+    for pivots in combinations(range(len(basis)), dim):
+        rows = []
+        for p in pivots:
+            free = _span(basis[j] for j in range(p + 1, len(basis)) if j not in pivots)
+            rows.append([basis[p] ^ x for x in (0, *free)])
+        out.extend(_span(choice) for choice in product(*rows))
+    return sorted(out)
+
+
+def _subspace_dim(subspace: Sequence[int]) -> int:
+    """Dimension of a subspace given by its 2^d - 1 nonzero vectors."""
+    return (len(subspace) + 1).bit_length() - 1
 
 
 def _containment_incidences(subspaces: Sequence[tuple[int, ...]]) -> list[tuple]:
@@ -279,12 +323,14 @@ def symplectic_polar_space(n: int) -> ConstructionMetadata:
 def _certified_action(name: str, geometry: Geometry, group: PermutationGroup, apply) -> GroupAction:
     """The action of ``group`` on the elements of ``geometry`` by ``apply``,
     once the axioms and then flag-transitivity are checked; a failure raises
-    ConstructionError naming the construction."""
+    ConstructionError naming the construction.  ``element_action`` checks
+    that the action preserves types and incidence, so flag-transitivity is
+    the unchecked orbit test."""
     verdict = is_geometry(geometry)
     if not verdict.ok:
         raise ConstructionError(f"{name} fails axioms: {verdict.failures}")
     action = element_action(geometry, group, apply)
-    if not is_flag_transitive(geometry, action):
+    if not _one_flag_orbit(geometry, action):
         raise ConstructionError(f"{name} is not flag-transitive")
     return action
 

@@ -17,9 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import build, cover, gf2, geom, local, natrep
+from . import build, cover, geom, local, natrep
 from .geom import Geometry
 from .perm import CapacityError
 
@@ -96,6 +94,9 @@ def _builtin_metadata(name: str, n: int | None, seed: int | None) -> build.Const
     for key in required:
         if values[key] is None:
             raise ValueError(f"--{key} is required for the {name} builtin")
+    for key, value in values.items():
+        if value is not None and key not in required:
+            raise ValueError(f"--{key} is not used by the {name} builtin")
     return construct(*(values[key] for key in required))
 
 
@@ -206,6 +207,8 @@ def _cmd_pi1(args):
 
 
 def _cmd_cover(args):
+    if args.triangulable and args.subgroup:
+        raise ValueError("--subgroup does not apply to --triangulable")
     inputs = {"input": _digest_file(args.input), "subgroup": list(args.subgroup)}
     complex_ = _load_complex(args.input)
     if args.triangulable:
@@ -262,6 +265,11 @@ def _cmd_hyp61(args):
 
 
 def _cmd_bench(args):
+    # imported on use, as numpy loads with it: most commands build no matrix
+    import numpy as np
+
+    from .gf2 import MatrixGFp
+
     sizes = [int(s) for s in args.sizes.split(",") if s] if args.sizes else []
     inputs = {"sizes": sizes, "seed": args.seed}
     rng = np.random.default_rng(args.seed)
@@ -270,7 +278,7 @@ def _cmd_bench(args):
         if size <= 0:
             raise ValueError("sizes must be positive")
         dense = rng.integers(0, 2, size=(size, size), dtype=np.uint8)
-        matrix = gf2.MatrixGFp.from_rows(2, dense)
+        matrix = MatrixGFp.from_rows(2, dense)
         started = time.monotonic()
         rank = matrix.rank()
         elapsed = time.monotonic() - started

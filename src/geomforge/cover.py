@@ -30,11 +30,9 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
-from .gf2 import MatrixGFp
 from .graphs import Graph
 from .perm import CapacityError, label_key
 
@@ -377,20 +375,23 @@ def _standardize(
 
 def _validate_table(outcome: EnumerationOutcome, presentation: Presentation) -> None:
     """Every relator must trace to its start from every coset, and subgroup
-    words must fix coset 0; each letter is one lookup over all cosets."""
-    table = np.array(outcome.table, dtype=np.int64)
-    cosets = np.arange(outcome.index)
+    words must fix coset 0; each letter is one ``itemgetter`` gather from a
+    table column over all cosets.  Coset 0 is traced once more at the end,
+    so that a gather always takes two or more items, for which
+    ``itemgetter`` returns a tuple."""
+    columns = list(zip(*outcome.table))
+    cosets = (*range(outcome.index), 0)
 
-    def trace(start: np.ndarray, word: Word) -> np.ndarray:
+    def trace(start: tuple, word: Word) -> tuple:
         for letter in word:
-            start = table[start, _column(letter)]
+            start = itemgetter(*start)(columns[_column(letter)])
         return start
 
     for word in presentation.relators:
-        if not np.array_equal(trace(cosets, word), cosets):
+        if trace(cosets, word) != cosets:
             raise AssertionError("relator does not trace to identity")
     for word in presentation.subgroup:
-        if trace(cosets[:1], word)[0] != 0:
+        if trace((0, 0), word) != (0, 0):
             raise AssertionError("subgroup word moves coset 0")
 
 
@@ -550,6 +551,8 @@ def _abelian_rank(presentation: Presentation, prime: int) -> int:
     sums.  These have one row per generator and one column per relator,
     the boundary matrix's orientation, which eliminates faster than its
     transpose on flag complexes."""
+    from .gf2 import MatrixGFp
+
     n = len(presentation.generators)
     if not presentation.relators:
         return n

@@ -403,8 +403,15 @@ def _check_action(g: Geometry, action: GroupAction) -> None:
 
 
 def is_flag_transitive(g: Geometry, action: GroupAction) -> bool:
-    """True when one maximal-flag orbit covers all maximal flags."""
+    """True when one maximal-flag orbit covers all maximal flags; the action
+    is checked to preserve types and incidence first."""
     _check_action(g, action)
+    return _one_flag_orbit(g, action)
+
+
+def _one_flag_orbit(g: Geometry, action: GroupAction) -> bool:
+    """``is_flag_transitive`` for an action already checked, as
+    ``element_action`` checks the action it builds."""
     flags = g.maximal_flags()
     if not flags:
         return False

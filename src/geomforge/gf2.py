@@ -1,4 +1,4 @@
-"""Dense linear algebra over GF(2) and GF(3), and GF(2) subspaces as bit masks.
+"""Dense linear algebra over GF(2) and GF(3).
 
 Payload layout.  A GF(2) matrix is bit-packed: an ndarray of uint64 of shape
 (rows, ceil(cols/64)), bit j of word w holding column 64*w + j, padding bits
@@ -25,14 +25,13 @@ nested rows of ints in 0..255 in one pass as bytes; other rows are converted
 in int64 blocks that refuse floats.  ``from_entries`` sums the residues per
 distinct cell, so its only full-size array is the uint8 result.
 
-The module also holds the GF(2)-subspace helpers on integer bit masks
-(``_span``, ``_subspaces``, ``_subspace_dim``, on top of ``_basis_of``)
-that the constructions and the natural representation checks share.
+This is the only module that imports numpy at module level; the others
+import it, with this module, only where they build a matrix.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations, product
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -442,49 +441,3 @@ def dump_matrix(matrix: MatrixGFp) -> str:
     out = [f"{matrix.rows} {matrix.cols} {matrix.prime}"]
     out.extend(f"{i} {j} {v}" for i, j, v in zip(r.tolist(), c.tolist(), dense[r, c].tolist()))
     return "\n".join(out) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# GF(2) subspaces as sorted tuples of nonzero integer bit masks
-
-
-def _basis_of(vectors: Iterable[int]) -> list[int]:
-    """A reduced basis of the span of the masks, largest first."""
-    basis: list[int] = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return basis
-
-
-def _span(vectors: Iterable[int]) -> tuple[int, ...]:
-    """All nonzero vectors of the GF(2)-span, as a sorted tuple of masks."""
-    out = {0}
-    for b in _basis_of(vectors):
-        out |= {x ^ b for x in out}
-    out.discard(0)
-    return tuple(sorted(out))
-
-
-def _subspaces(vectors: Iterable[int], dim: int) -> list[tuple[int, ...]]:
-    """Every dim-subspace of the span of the masks exactly once, as a sorted
-    list.  In coordinates over ``_basis_of`` each has one reduced echelon
-    basis: row i is basis[p_i] for pivot positions p_0 < ... < p_(dim-1),
-    plus any combination of the later non-pivot basis vectors."""
-    basis = _basis_of(vectors)
-    out = []
-    for pivots in combinations(range(len(basis)), dim):
-        rows = []
-        for p in pivots:
-            free = _span(basis[j] for j in range(p + 1, len(basis)) if j not in pivots)
-            rows.append([basis[p] ^ x for x in (0, *free)])
-        out.extend(_span(choice) for choice in product(*rows))
-    return sorted(out)
-
-
-def _subspace_dim(subspace: Sequence[int]) -> int:
-    """Dimension of a subspace given by its 2^d - 1 nonzero vectors."""
-    return (len(subspace) + 1).bit_length() - 1

@@ -24,11 +24,12 @@ from .build import (
     ConstructionMetadata,
     SubgroupPatternInput,
     _apply_points,
+    _basis_of,
     _certified_action,
     _mask_to_bits,
+    _span,
     subgroup_pattern_geometry,
 )
-from .gf2 import _basis_of, _span
 from .perm import GroupAction, Permutation, PermutationGroup, StabilizerChain
 
 __all__ = [

@@ -4,17 +4,22 @@ verification of concrete natural representations.
 
 All geometries handled here are of GF(2)-type: every line carries exactly
 three points, and the universal module is GF(2)^points modulo the span of
-the weight-3 line relation rows.
+the weight-3 line relation rows.  ``um_dimension`` reads the rank of those
+rows off an echelon basis of their bit masks; only the O3 split, which
+needs nullspaces and products, builds ``MatrixGFp`` matrices and so loads
+numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .build import ConstructionMetadata
+from .build import ConstructionMetadata, _basis_of, _span, _subspace_dim, _subspaces
 from .geom import Geometry, GeometryError
-from .gf2 import MatrixGFp, _span, _subspace_dim, _subspaces
+
+if TYPE_CHECKING:
+    from .gf2 import MatrixGFp
 
 __all__ = [
     "NatRepResult",
@@ -68,6 +73,8 @@ def _lines_with_points(g: Geometry) -> list[tuple]:
 def relation_matrix(g: Geometry) -> MatrixGFp:
     """One weight-3 row per line over the point columns: the GF(2) relation
     v_a + v_b + v_c = 0 for the three points of each line."""
+    from .gf2 import MatrixGFp
+
     points = g.elements_of_type(1)
     col = {p: i for i, p in enumerate(points)}
     entries = []
@@ -78,15 +85,18 @@ def relation_matrix(g: Geometry) -> MatrixGFp:
 
 
 def um_dimension(g: Geometry) -> NatRepResult:
-    """dim UM = points - rank of the relation system."""
-    matrix = relation_matrix(g)
-    rank = matrix.rank()
-    return NatRepResult(matrix.cols, rank, matrix.cols - rank)
+    """dim UM = points - rank of the relation system, the number of vectors
+    in an echelon basis of the lines' point masks."""
+    col = {p: i for i, p in enumerate(g.elements_of_type(1))}
+    rank = len(_basis_of(sum(1 << col[p] for p in pts) for _, pts in _lines_with_points(g)))
+    return NatRepResult(len(col), rank, len(col) - rank)
 
 
 def o3_split_dims(g: Geometry, meta: ConstructionMetadata) -> NatRepResult:
     """Split dim UM into the commutant and centralizer of the lifted O3
     generator: image and kernel of (g - 1) acting on the quotient module."""
+    from .gf2 import MatrixGFp
+
     if meta.o3_generator is None:
         raise ValueError("construction metadata carries no O3 generator")
     o3 = meta.o3_generator

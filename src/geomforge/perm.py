@@ -17,8 +17,6 @@ from functools import lru_cache
 from random import Random
 from typing import Callable, Iterable, Optional, Sequence
 
-import numpy as np
-
 __all__ = [
     "Permutation",
     "PermutationGroup",
@@ -703,23 +701,15 @@ class GroupAction:
         """Index of the first generator that sends an unordered pair of
         labels from ``pairs`` to a pair outside them, or None when every
         generator preserves that set of pairs."""
-        # a pair {i, j} with i < j is the code i*n + j; each image is a
-        # bijection of the domain, so it keeps the set of codes exactly when
-        # the sorted codes of the images equal the sorted codes.  A set drops
-        # repeated pairs: np.unique would import numpy.ma on its first call,
-        # which costs a small CLI run more than the whole check
+        # the pair {i, j} has the codes i*n + j and j*n + i, and the set
+        # holds both; each image is a bijection of the domain, so it keeps
+        # the set of pairs exactly when every pair's image code is in it
         index = self.index
         n = len(self.domain)
-        keys = set()
-        for a, b in pairs:
-            i, j = index[a], index[b]
-            keys.add(i * n + j if i < j else j * n + i)
-        codes = np.array(sorted(keys), dtype=np.int64)
-        low, high = np.divmod(codes, n)
+        points = [(index[a], index[b]) for a, b in pairs]
+        codes = {i * n + j for i, j in points} | {j * n + i for i, j in points}
         for gi, img in enumerate(self.images):
-            img = np.array(img, dtype=np.int64)
-            x, y = img[low], img[high]
-            if not np.array_equal(np.sort(np.minimum(x, y) * n + np.maximum(x, y)), codes):
+            if not codes.issuperset([img[i] * n + img[j] for i, j in points]):
                 return gi
         return None
 
@@ -869,10 +859,20 @@ def load_group(path) -> PermutationGroup:
 
 
 def group_from_json(payload: dict) -> PermutationGroup:
+    """The group of a JSON payload; a payload of the wrong shape raises
+    ValueError naming what is wrong."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"group payload must be an object, not {type(payload).__name__}")
+    for key in ("degree", "generators"):
+        if key not in payload:
+            raise ValueError(f"group payload has no {key!r}")
     degree = _as_point(payload["degree"])
     if degree < 0:
         raise ValueError(f"negative degree {degree}")
-    gens = [Permutation(images) for images in payload["generators"]]
+    generators = payload["generators"]
+    if not isinstance(generators, list) or not all(isinstance(images, list) for images in generators):
+        raise ValueError("generators must be a list of image lists")
+    gens = [Permutation(images) for images in generators]
     return PermutationGroup(
         gens,
         degree=degree,

@@ -245,18 +245,15 @@ def minimal_normal_by_enumeration(generators):
 
 
 def first_generator_moving_by_scan(action, pairs):
-    """Index of the first generator of a GroupAction that sends one of the
-    unordered label pairs to a pair outside them, or None, by a set lookup
-    per pair and generator.  The scan that
-    ``geomforge.perm.GroupAction.first_generator_moving`` ran before it
-    compared sorted pair codes, kept as its reference."""
-    index = action.index
-    keys = {tuple(sorted((index[a], index[b]))) for a, b in pairs}
-    for gi, img in enumerate(action.images):
-        for i, j in keys:
-            a, b = img[i], img[j]
-            if ((a, b) if a < b else (b, a)) not in keys:
-                return gi
+    """Index of the first generator of a GroupAction whose image of the set
+    of unordered label pairs is not that set, or None.  Each generator maps
+    every pair label by label through ``GroupAction.apply``, and the image
+    set is compared whole; no pair codes and no bijection argument, as in
+    ``geomforge.perm.GroupAction.first_generator_moving``."""
+    edges = {frozenset(pair) for pair in pairs}
+    for gi in range(len(action.images)):
+        if {frozenset(action.apply(gi, x) for x in edge) for edge in edges} != edges:
+            return gi
     return None
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomforge import build
+from geomforge.build import _span
 from geomforge.geom import (
     derived_graph,
     diagram,
@@ -16,7 +17,6 @@ from geomforge.geom import (
     isomorphic,
     residue,
 )
-from geomforge.gf2 import _span
 from geomforge.graphs import girth
 from geomforge.natrep import um_dimension, verify_natural_representation
 from geomforge.perm import GroupAction, Permutation, PermutationGroup
@@ -109,20 +109,30 @@ def _build_m22_afresh():
     pytest.param(_build_m22_afresh, marks=pytest.mark.stretch),
 ], ids=["sp2", "sp3", "tilde", "m22"])
 def test_one_certification_step(monkeypatch, construct):
-    # each verified build checks the axioms, then builds the element action
-    # and checks flag-transitivity on it
+    # each verified build checks the axioms, then builds the element action,
+    # which checks it, and tests flag-transitivity on it without a second
+    # check: one incidence scan of the action in all
     calls = []
 
     def recording(name, fn):
         def wrapper(*args):
             calls.append(name)
-            return fn(*args)
+            result = fn(*args)
+            calls.append(f"/{name}")
+            return result
         return wrapper
 
-    for name in ("is_geometry", "element_action", "is_flag_transitive"):
+    for name in ("is_geometry", "element_action", "_one_flag_orbit"):
         monkeypatch.setattr(build, name, recording(name, getattr(build, name)))
+    scan = GroupAction.first_generator_moving
+    monkeypatch.setattr(GroupAction, "first_generator_moving",
+                        lambda self, pairs: calls.append("scan") or scan(self, pairs))
     construct()
-    assert calls[:3] == ["is_geometry", "element_action", "is_flag_transitive"]
+    assert calls[:7] == [
+        "is_geometry", "/is_geometry",
+        "element_action", "scan", "/element_action",
+        "_one_flag_orbit", "/_one_flag_orbit",
+    ]
 
 
 class TestSymplectic:

@@ -1,12 +1,15 @@
 """CLI behaviour: exit codes, report shape, determinism and round trips."""
 
 import json
+import os
 import subprocess
 import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import geomforge
 from geomforge.cli import main
 from geomforge.geom import Geometry, isomorphic
 
@@ -102,6 +105,29 @@ class TestExitCodes:
         code, report = run_cli(capsys, *argv)
         assert code == 4 and report["status"] == "bad-input" and report["results"]["error"]
         assert report["command"] == command and report["inputs"] == {}
+
+    @pytest.mark.parametrize("argv, error", [
+        (["build", "--builtin", "petersen", "--n", "7", "--seed", "3"], "--n is not used by the petersen builtin"),
+        (["natrep", "dim", "--builtin", "gq22", "--n", "9", "--seed", "5"], "--n is not used by the gq22 builtin"),
+        (["build", "--builtin", "sp", "--n", "3", "--seed", "1"], "--seed is not used by the sp builtin"),
+        (["hyp61", "--builtin", "tilde", "--seed", "3", "--n", "2"], "--n is not used by the tilde builtin"),
+        (["build", "--builtin", "pg", "--seed", "1"], "--n is required for the pg builtin"),
+    ], ids=["build-petersen", "natrep-gq22", "build-sp", "hyp61-tilde", "missing-before-unused"])
+    def test_builtin_refuses_unused_arguments(self, capsys, argv, error):
+        # a report names only inputs that shaped it
+        code, report = run_cli(capsys, *argv)
+        assert code == 4 and report["status"] == "bad-input"
+        assert report["command"] == argv[0] and report["results"] == {"error": error}
+
+    def test_cover_triangulable_refuses_subgroup_words(self, capsys, tmp_path):
+        # the verdict reads no subgroup word, so a report must not list one
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps({
+            "vertices": [0, 1, 2, 3], "edges": [[0, 1], [1, 2], [2, 3], [0, 3]], "triangles": [],
+        }))
+        code, report = run_cli(capsys, "cover", "--input", str(path), "--triangulable", "--subgroup", "aa")
+        assert code == 4 and report["status"] == "bad-input" and report["command"] == "cover"
+        assert report["results"] == {"error": "--subgroup does not apply to --triangulable"}
 
     @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["cover", "-h"]])
     def test_help_prints_no_report(self, capsys, argv):
@@ -364,6 +390,46 @@ class TestDeterminism:
         assert result.returncode == 0
         report = json.loads(result.stdout)
         assert report["results"]["dim"] == 6
+
+
+# runs the commands that build no matrix in one fresh interpreter, checking
+# after the import and after each run that numpy was not loaded; bench last,
+# which must load it
+_NUMPY_ON_USE = """
+import sys
+import geomforge.cli
+
+geometry, presentation = sys.argv[1:]
+assert "numpy" not in sys.modules, "import geomforge.cli"
+for argv in [
+    ["build", "--builtin", "sp", "--n", "3", "--out", geometry],
+    ["verify", "--input", geometry],
+    ["diagram", "--input", geometry],
+    ["natrep", "dim", "--input", geometry],
+    ["tc", "--input", presentation],
+    ["local", "kernels", "--builtin", "tilde", "--seed", "3"],
+    ["hyp61", "--builtin", "tilde", "--seed", "3"],
+]:
+    assert geomforge.cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert geomforge.cli.main(["bench", "--sizes", "8", "--seed", "1"]) == 0
+assert "numpy" in sys.modules, "bench"
+"""
+
+
+class TestNumpyOnUse:
+    def test_commands_without_matrices_do_not_load_numpy(self, tmp_path):
+        pres = tmp_path / "s3.json"
+        pres.write_text(json.dumps({"generators": ["a", "b"], "relators": ["aa", "bb", "ababab"]}))
+        src = str(Path(geomforge.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-c", _NUMPY_ON_USE, str(tmp_path / "w52.json"), str(pres)],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        reports = [json.loads(line) for line in result.stdout.splitlines()]
+        assert [r["status"] for r in reports] == ["ok"] * 8
 
 
 class TestRoundTrips:

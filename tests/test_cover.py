@@ -1,6 +1,7 @@
 """Coset enumeration, fundamental groups, triangulability, homology and
 finite covers."""
 
+import dataclasses
 import json
 import string
 from itertools import combinations
@@ -16,7 +17,9 @@ from geomforge.cover import (
     PresentationError,
     TriangleComplex,
     TriangulabilityVerdict,
+    _column,
     _pi1_with_labels,
+    _validate_table,
     build_cover,
     homology_rank,
     is_triangulable,
@@ -110,8 +113,6 @@ class TestToddCoxeter:
         outcome = todd_coxeter(pres)
         assert outcome.index == 8  # dihedral of order 8
         table = outcome.table
-        from geomforge.cover import _column
-
         for c in range(outcome.index):
             for word in pres.relators:
                 cur = c
@@ -169,6 +170,27 @@ class TestToddCoxeter:
         assert len(perms) == 2
         for p in perms:
             assert sorted(p) == list(range(outcome.index))
+
+    def test_validation_refuses_one_wrong_entry(self):
+        # S3 = <a, b | a^2, b^2, (ab)^3> on 6 cosets: relators read the
+        # generator columns, and a changed entry in one breaks a relator
+        pres = Presentation.from_strings(["a", "b"], ["aa", "bb", "ababab"])
+        outcome = todd_coxeter(pres)
+        _validate_table(outcome, pres)
+        for c in range(outcome.index):
+            for col in (_column(1), _column(2)):
+                table = [list(row) for row in outcome.table]
+                table[c][col] = (table[c][col] + 1) % outcome.index
+                with pytest.raises(AssertionError, match="relator"):
+                    _validate_table(dataclasses.replace(outcome, table=table), pres)
+
+    def test_validation_refuses_subgroup_word_moving_origin(self):
+        # the table of S3 over <ab> has index 2, and a is outside <ab>
+        relators = ["aa", "bb", "ababab"]
+        outcome = todd_coxeter(Presentation.from_strings(["a", "b"], relators, ["ab"]))
+        _validate_table(outcome, Presentation.from_strings(["a", "b"], relators, ["ab", "ba"]))
+        with pytest.raises(AssertionError, match="subgroup word moves coset 0"):
+            _validate_table(outcome, Presentation.from_strings(["a", "b"], relators, ["a"]))
 
 
 class TestProperties:

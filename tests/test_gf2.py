@@ -16,8 +16,8 @@ from geomforge.gf2 import (
     parse_matrix,
     solve,
     _PACK_ENTRIES,
-    _subspaces,
 )
+from geomforge.build import _subspaces
 from oracles import (
     accumulate_entries,
     naive_rank,

@@ -1,8 +1,13 @@
 """Universal natural representation tests: relation systems, module
 dimensions, the O3 split and concrete representation verification."""
 
-import pytest
+from itertools import combinations
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from geomforge.build import projective_geometry_2
 from geomforge.geom import Geometry, truncation
 from geomforge.natrep import (
     NotGF2TypeError,
@@ -75,6 +80,29 @@ class TestUmDimension:
     def test_rank_reverified_by_transpose(self, gq22):
         m = relation_matrix(gq22.geometry)
         assert m.rank() == m.transpose().rank()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.sampled_from(list(combinations(range(n), 3))), max_size=20, unique=True),
+    )))
+    def test_rank_matches_matrix_on_random_lines(self, points_and_lines):
+        # points 0..n-1 and any set of 3-point lines: the echelon basis of
+        # the line masks has the relation matrix's rank over GF(2)
+        n, lines = points_and_lines
+        g = Geometry(
+            2,
+            [(p, 1) for p in range(n)] + [(("l", i), 2) for i in range(len(lines))],
+            [(p, ("l", i)) for i, line in enumerate(lines) for p in line],
+        )
+        result = um_dimension(g)
+        assert result.relation_rank == relation_matrix(g).rank()
+        assert (result.points, result.total_dim) == (n, n - result.relation_rank)
+
+    @pytest.mark.parametrize("source", ["sp3", "pg32", "t0"], ids=["w52", "pg32", "tilde"])
+    def test_rank_matches_matrix_on_builds(self, request, source):
+        meta = projective_geometry_2(4) if source == "pg32" else request.getfixturevalue(source)
+        g = meta.geometry
+        assert um_dimension(g).relation_rank == relation_matrix(g).rank()
 
 
 class TestO3Split:

@@ -450,6 +450,15 @@ class TestInducedAction:
         expected = first_generator_moving_by_scan(action, pairs)
         assert action.first_generator_moving(pairs) == expected
 
+    @pytest.mark.parametrize("pairs", [[], [("a", "b")], [("c", "a")], [("a", "b"), ("b", "a")]],
+                             ids=["empty", "one-pair", "one-pair-reversed", "repeated-pair"])
+    @pytest.mark.parametrize("gens", [[[1, 0, 2]], [[0, 1, 2], [1, 2, 0]], [[1, 0, 2], [0, 2, 1]]],
+                             ids=["swap-ab", "identity-then-cycle", "swap-ab-then-swap-bc"])
+    def test_first_generator_moving_on_small_sets(self, gens, pairs):
+        action = GroupAction(PermutationGroup([Permutation(g) for g in gens]), "abc", gens)
+        expected = first_generator_moving_by_scan(action, pairs)
+        assert action.first_generator_moving(pairs) == expected
+
 
 class TestGroupFiles:
     def test_roundtrip(self, tmp_path):
@@ -478,6 +487,19 @@ class TestGroupFiles:
     def test_malformed_degree_rejected(self, degree):
         with pytest.raises(ValueError):
             group_from_json({"degree": degree, "generators": []})
+
+    @pytest.mark.parametrize("payload, message", [
+        ([[1, 0]], "must be an object, not list"),
+        ({"generators": [[1, 0]]}, "no 'degree'"),
+        ({"degree": 2}, "no 'generators'"),
+        ({"degree": 2, "generators": 5}, "list of image lists"),
+        ({"degree": 2, "generators": [5]}, "list of image lists"),
+    ], ids=["list-payload", "no-degree", "no-generators", "int-generators", "int-generator"])
+    def test_malformed_file_raises_value_error(self, tmp_path, payload, message):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            load_group(path)
 
 
 class TestTrustedCore:
