@@ -111,6 +111,9 @@ def _builtin(args) -> tuple[build.ConstructionMetadata, dict]:
 
 def _load_geometry(args) -> tuple[Geometry, dict]:
     if args.input:
+        for key in ("builtin", "n", "seed"):
+            if getattr(args, key) is not None:
+                raise ValueError(f"--{key} does not apply to --input")
         return Geometry.load(args.input), {"input": _digest_file(args.input)}
     if not args.builtin:
         raise ValueError("either --input or --builtin is required")
@@ -168,6 +171,8 @@ def _cmd_diagram(args):
 
 def _cmd_natrep(args):
     if args.split:
+        if args.input:
+            raise ValueError("--input does not apply to --split")
         if args.builtin != "tilde":
             raise ValueError("--split is only available for the tilde builtin")
         meta, inputs = _builtin(args)
@@ -209,6 +214,8 @@ def _cmd_pi1(args):
 def _cmd_cover(args):
     if args.triangulable and args.subgroup:
         raise ValueError("--subgroup does not apply to --triangulable")
+    if args.homology_prime and not args.triangulable:
+        raise ValueError("--homology-prime applies only to --triangulable")
     inputs = {"input": _digest_file(args.input), "subgroup": list(args.subgroup)}
     complex_ = _load_complex(args.input)
     if args.triangulable:

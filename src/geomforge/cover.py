@@ -18,10 +18,15 @@ The enumeration is HLT (Holt, Eick and O'Brien, Handbook of Computational
 Group Theory, 2005, section 5.1): each live coset in order is scanned under
 every relator, defining cosets to close the cycles, and its row is then
 completed left to right, so outcomes are reproducible.  The table is one
-flat list, entry (c, col) at c * w + col and -1 while undefined; relators
-are compiled once to columns.  Coincidences are processed at once by the
-Handbook's routine, which leaves entries of live cosets pointing only at
-live cosets, so scans follow entries without a union-find lookup.
+list per column, entry (c, col) at ``cols[col][c]`` and -1 while
+undefined; each relator and subgroup word is compiled once to the column
+lists of its letters and of their inverses, so a scan step is
+``f = column[f]``.  The columns grow together by a fixed block of rows, and
+the last slot of every column stays -1: ``column[-1] == -1``, so a scan
+that meets an undefined entry follows -1 to the end of the word without a
+test per letter.  Coincidences are processed at once by the Handbook's
+routine, which leaves entries of live cosets pointing only at live
+cosets, so scans follow entries without a union-find lookup.
 """
 
 from __future__ import annotations
@@ -206,9 +211,8 @@ def _column(letter: int) -> int:
     return 2 * letter - 2 if letter > 0 else -2 * letter - 1
 
 
-def _compile(word: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The columns of a word's letters and of their inverses."""
-    return tuple(map(_column, word)), tuple(_column(-letter) for letter in word)
+# entries added over all columns of a coset table when it outgrows them
+_BLOCK = 1 << 16
 
 
 def todd_coxeter(
@@ -221,10 +225,22 @@ def todd_coxeter(
     if limit < 1:
         raise ValueError("limit must be positive")
     w = 2 * len(presentation.generators)
-    relators = [_compile(word) for word in presentation.relators]
-    blank = [-1] * w
-    table = list(blank)  # entry (c, col) at c * w + col, -1 while undefined
+    # column col holds every coset's entry under _column's letter col, -1
+    # while undefined; the last slot stays -1, so column[-1] == -1.  The
+    # columns grow together by a block of rows, about _BLOCK entries in all
+    block = [-1] * max(64, _BLOCK // max(w, 1))
+    cols = [list(block) for _ in range(w)]
+    pairs = [(cols[col], cols[col ^ 1]) for col in range(w)]
     rep = [0]  # rep[c] == c exactly when coset c is live
+
+    def compiled(word: Word) -> tuple[tuple[list[int], ...], tuple[list[int], ...]]:
+        """The columns of a word's letters and of their inverses."""
+        return (
+            tuple(cols[_column(letter)] for letter in word),
+            tuple(cols[_column(-letter)] for letter in word),
+        )
+
+    relators = list(map(compiled, presentation.relators))
 
     def find(c: int) -> int:
         r = c
@@ -234,14 +250,16 @@ def todd_coxeter(
             rep[c], c = r, rep[c]
         return r
 
-    def define(c: int, col: int) -> None:
+    def define(c: int, column: list[int], inverse: list[int]) -> None:
         d = len(rep)
         if d >= limit:
             raise _Overflow()
         rep.append(d)
-        table.extend(blank)
-        table[c * w + col] = d
-        table[d * w + (col ^ 1)] = c
+        if d == len(column) - 1:  # keep the last slot free
+            for col in cols:
+                col += block
+        column[c] = d
+        inverse[d] = c
 
     def coincide(a: int, b: int) -> None:
         """Merge the live cosets a != b and every pair this forces (Handbook
@@ -254,24 +272,22 @@ def todd_coxeter(
         rep[b] = a
         queue = [b]
         for dead in queue:  # grows while it is processed
-            base = dead * w
-            for col in range(w):
-                d = table[base + col]
+            for column, back in pairs:
+                d = column[dead]
                 if d < 0:
                     continue
-                back = col ^ 1
-                table[d * w + back] = -1
+                back[d] = -1
                 mu = rep[dead]
                 mu = mu if rep[mu] == mu else find(mu)
                 nu = d if rep[d] == d else find(d)
-                x = table[mu * w + col]
+                x = column[mu]
                 if x >= 0:
                     y = nu
                 else:
-                    x = table[nu * w + back]
+                    x = back[nu]
                     if x < 0:
-                        table[mu * w + col] = nu
-                        table[nu * w + back] = mu
+                        column[mu] = nu
+                        back[nu] = mu
                         continue
                     y = mu
                 x = x if rep[x] == x else find(x)
@@ -281,13 +297,13 @@ def todd_coxeter(
                     rep[y] = x
                     queue.append(y)
 
-    def scan_and_fill(c: int, fwd: tuple[int, ...], inv: tuple[int, ...]) -> None:
+    def scan_and_fill(c: int, fwd: tuple[list[int], ...], inv: tuple[list[int], ...]) -> None:
         """Scan a word from live coset c, defining cosets to close the cycle."""
         n = len(fwd)
         f, i, b, j = c, 0, c, n - 1
         while True:
             while i < n:
-                nxt = table[f * w + fwd[i]]
+                nxt = fwd[i][f]
                 if nxt < 0:
                     break
                 f = nxt
@@ -302,7 +318,7 @@ def todd_coxeter(
             if j < i:  # the forward scan overtook the backward one
                 b, j = c, n - 1
             while j > i:
-                nxt = table[b * w + inv[j]]
+                nxt = inv[j][b]
                 if nxt < 0:
                     break
                 b = nxt
@@ -310,75 +326,69 @@ def todd_coxeter(
             if j == i:
                 # gap of one: deduce the entry, unless b's inverse entry
                 # already names a coset, which then coincides with f
-                e = table[b * w + inv[i]]
+                e = inv[i][b]
                 if e < 0:
-                    table[f * w + fwd[i]] = b
-                    table[b * w + inv[i]] = f
+                    fwd[i][f] = b
+                    inv[i][b] = f
                 else:
                     coincide(f, e)
                 return
-            define(f, fwd[i])
+            define(f, fwd[i], inv[i])
 
     try:
-        for fwd, inv in map(_compile, presentation.subgroup):
+        for fwd, inv in map(compiled, presentation.subgroup):
             scan_and_fill(0, fwd, inv)
         c = 0
         while c < len(rep):
             if rep[c] == c:
                 for fwd, inv in relators:
+                    # most scans close at once: skip the call; an undefined
+                    # entry gives -1, which every column maps to -1
                     f = c
-                    for col in fwd:  # most scans close at once: skip the call
-                        f = table[f * w + col]
-                        if f < 0:
-                            break
+                    for column in fwd:
+                        f = column[f]
                     if f != c:
                         scan_and_fill(c, fwd, inv)
                         if rep[c] != c:
                             break
                 else:
-                    for col in range(w):
-                        if table[c * w + col] < 0:
-                            define(c, col)
+                    for column, back in pairs:
+                        if column[c] < 0:
+                            define(c, column, back)
             c += 1
     except _Overflow:
         return EnumerationOutcome(
             "overflow", limit=limit, generators=presentation.generators
         )
-    order, number = _standardize(table, w, rep)
+    # BFS renumbering from coset 0, scanning columns in order
+    number = [-1] * len(rep)
+    number[0] = 0
+    order = [0]
+    for c in order:  # grows while it is scanned
+        for column in cols:
+            d = column[c]
+            if number[d] < 0:
+                number[d] = len(order)
+                order.append(d)
+    if len(order) != sum(1 for c, r in enumerate(rep) if c == r):
+        raise AssertionError("coset table is not connected")
     outcome = EnumerationOutcome(
         "completed",
         index=len(order),
-        table=[[number[d] for d in table[c * w:c * w + w]] for c in order],
+        table=[[number[column[c]] for column in cols] for c in order],
         generators=presentation.generators,
     )
     _validate_table(outcome, presentation)
     return outcome
 
 
-def _standardize(
-    table: list[int], w: int, rep: list[int]
-) -> tuple[list[int], list[int]]:
-    """BFS renumbering from coset 0 scanning columns in order: the live
-    cosets in their new order, and each coset's new number (-1 if unseen)."""
-    number = [-1] * len(rep)
-    number[0] = 0
-    order = [0]
-    for c in order:  # grows while it is scanned
-        for d in table[c * w:c * w + w]:
-            if number[d] < 0:
-                number[d] = len(order)
-                order.append(d)
-    if len(order) != sum(1 for c, r in enumerate(rep) if c == r):
-        raise AssertionError("coset table is not connected")
-    return order, number
-
-
 def _validate_table(outcome: EnumerationOutcome, presentation: Presentation) -> None:
-    """Every relator must trace to its start from every coset, and subgroup
-    words must fix coset 0; each letter is one ``itemgetter`` gather from a
-    table column over all cosets.  Coset 0 is traced once more at the end,
-    so that a gather always takes two or more items, for which
-    ``itemgetter`` returns a tuple."""
+    """Every relator must trace to its start from every coset, subgroup
+    words must fix coset 0, and each inverse column must undo its
+    generator column, which no relator need read; each letter is one
+    ``itemgetter`` gather from a table column over all cosets.  Coset 0 is
+    traced once more at the end, so that a gather always takes two or more
+    items, for which ``itemgetter`` returns a tuple."""
     columns = list(zip(*outcome.table))
     cosets = (*range(outcome.index), 0)
 
@@ -393,6 +403,9 @@ def _validate_table(outcome: EnumerationOutcome, presentation: Presentation) -> 
     for word in presentation.subgroup:
         if trace((0, 0), word) != (0, 0):
             raise AssertionError("subgroup word moves coset 0")
+    for g in range(1, len(presentation.generators) + 1):
+        if trace(cosets, (g, -g)) != cosets:
+            raise AssertionError("inverse column does not undo its generator column")
 
 
 # ---------------------------------------------------------------------------

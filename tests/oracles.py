@@ -541,3 +541,146 @@ def homology_rank_by_boundary(complex_, prime):
             entries.append((edge_index[key], col, sign % prime))
     boundary = MatrixGFp.from_entries(prime, len(edges), len(complex_.triangles), entries)
     return cycle_dim - boundary.rank()
+
+
+def todd_coxeter_flat(generators, relators, subgroup, limit):
+    """HLT coset enumeration on one flat table, entry (c, col) at
+    c * w + col and -1 while undefined, with generator g's column at
+    2g - 2 and its inverse's at 2g - 1; words are tuples of signed 1-based
+    generator indices.  Returns (status, table, defined): the status is
+    "completed" or "overflow", the table is the standardized list of rows
+    (None on overflow), and ``defined`` counts the cosets defined, coset 0
+    included.  The library's enumerator before it stored one list per
+    column, moved here as the reference for its definition order."""
+    w = 2 * len(generators)
+
+    def column(letter):
+        return 2 * letter - 2 if letter > 0 else -2 * letter - 1
+
+    def compiled(word):
+        return tuple(map(column, word)), tuple(column(-letter) for letter in word)
+
+    compiled_relators = [compiled(word) for word in relators]
+    blank = [-1] * w
+    table = list(blank)
+    rep = [0]
+
+    class Overflow(Exception):
+        pass
+
+    def find(c):
+        r = c
+        while rep[r] != r:
+            r = rep[r]
+        while rep[c] != r:
+            rep[c], c = r, rep[c]
+        return r
+
+    def define(c, col):
+        d = len(rep)
+        if d >= limit:
+            raise Overflow()
+        rep.append(d)
+        table.extend(blank)
+        table[c * w + col] = d
+        table[d * w + (col ^ 1)] = c
+
+    def coincide(a, b):
+        if a > b:
+            a, b = b, a
+        rep[b] = a
+        queue = [b]
+        for dead in queue:
+            base = dead * w
+            for col in range(w):
+                d = table[base + col]
+                if d < 0:
+                    continue
+                back = col ^ 1
+                table[d * w + back] = -1
+                mu = find(rep[dead])
+                nu = find(d)
+                x = table[mu * w + col]
+                if x >= 0:
+                    y = nu
+                else:
+                    x = table[nu * w + back]
+                    if x < 0:
+                        table[mu * w + col] = nu
+                        table[nu * w + back] = mu
+                        continue
+                    y = mu
+                x = find(x)
+                if x != y:
+                    if x > y:
+                        x, y = y, x
+                    rep[y] = x
+                    queue.append(y)
+
+    def scan_and_fill(c, fwd, inv):
+        n = len(fwd)
+        f, i, b, j = c, 0, c, n - 1
+        while True:
+            while i < n:
+                nxt = table[f * w + fwd[i]]
+                if nxt < 0:
+                    break
+                f = nxt
+                i += 1
+            if i == n:
+                if f == c:
+                    return
+                coincide(f, c)
+                c = find(c)
+                f, i, b, j = c, 0, c, n - 1
+                continue
+            if j < i:
+                b, j = c, n - 1
+            while j > i:
+                nxt = table[b * w + inv[j]]
+                if nxt < 0:
+                    break
+                b = nxt
+                j -= 1
+            if j == i:
+                e = table[b * w + inv[i]]
+                if e < 0:
+                    table[f * w + fwd[i]] = b
+                    table[b * w + inv[i]] = f
+                else:
+                    coincide(f, e)
+                return
+            define(f, fwd[i])
+
+    try:
+        for fwd, inv in map(compiled, subgroup):
+            scan_and_fill(0, fwd, inv)
+        c = 0
+        while c < len(rep):
+            if rep[c] == c:
+                for fwd, inv in compiled_relators:
+                    f = c
+                    for col in fwd:
+                        f = table[f * w + col]
+                        if f < 0:
+                            break
+                    if f != c:
+                        scan_and_fill(c, fwd, inv)
+                        if rep[c] != c:
+                            break
+                else:
+                    for col in range(w):
+                        if table[c * w + col] < 0:
+                            define(c, col)
+            c += 1
+    except Overflow:
+        return "overflow", None, len(rep)
+    number = [-1] * len(rep)
+    number[0] = 0
+    order = [0]
+    for c in order:
+        for d in table[c * w:c * w + w]:
+            if number[d] < 0:
+                number[d] = len(order)
+                order.append(d)
+    return "completed", [[number[d] for d in table[c * w:c * w + w]] for c in order], len(rep)

@@ -129,6 +129,31 @@ class TestExitCodes:
         assert code == 4 and report["status"] == "bad-input" and report["command"] == "cover"
         assert report["results"] == {"error": "--subgroup does not apply to --triangulable"}
 
+    def test_cover_refuses_homology_prime_without_triangulable(self, capsys, tmp_path):
+        # only the verdict computes a homology rank
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps({
+            "vertices": [0, 1, 2, 3], "edges": [[0, 1], [1, 2], [2, 3], [0, 3]], "triangles": [],
+        }))
+        code, report = run_cli(capsys, "cover", "--input", str(path), "--homology-prime", "3")
+        assert code == 4 and report["status"] == "bad-input" and report["command"] == "cover"
+        assert report["results"] == {"error": "--homology-prime applies only to --triangulable"}
+
+    @pytest.mark.parametrize("argv, error", [
+        (["verify", "--builtin", "sp", "--n", "3", "--seed", "9"], "--builtin does not apply to --input"),
+        (["diagram", "--n", "3"], "--n does not apply to --input"),
+        (["natrep", "dim", "--seed", "1"], "--seed does not apply to --input"),
+        (["natrep", "dim", "--builtin", "tilde", "--seed", "1", "--split"], "--input does not apply to --split"),
+    ], ids=["verify", "diagram", "natrep", "natrep-split"])
+    def test_input_refuses_builtin_arguments(self, capsys, tmp_path, argv, error):
+        # a file is checked as it is: no builtin argument shapes the report
+        path = tmp_path / "pg2.json"
+        assert main(["build", "--builtin", "pg", "--n", "2", "--out", str(path)]) == 0
+        capsys.readouterr()
+        code, report = run_cli(capsys, *argv, "--input", str(path))
+        assert code == 4 and report["status"] == "bad-input"
+        assert report["command"] == argv[0] and report["results"] == {"error": error}
+
     @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["cover", "-h"]])
     def test_help_prints_no_report(self, capsys, argv):
         assert main(argv) == 0

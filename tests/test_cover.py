@@ -29,7 +29,12 @@ from geomforge.cover import (
 from geomforge.geom import collinearity_graph
 from geomforge.perm import CapacityError
 from geomforge.graphs import Graph, petersen_graph
-from oracles import homology_rank_by_boundary, naive_group_elements, naive_rank
+from oracles import (
+    homology_rank_by_boundary,
+    naive_group_elements,
+    naive_rank,
+    todd_coxeter_flat,
+)
 
 
 def cycle_graph(n):
@@ -63,6 +68,13 @@ def flag_complex(g):
 
 A5_RELATORS = ["aa", "bbb", "ababababab"]
 S4_RELATORS = ["aa", "bbb", "abababab"]
+# S8 as the Coxeter group A7 on a..g: perfbench/inputs.py's coxeter_s8, unscrambled
+COXETER_S8_RELATORS = [
+    "aa", "bb", "cc", "dd", "ee", "ff", "gg",
+    "ababab", "bcbcbc", "cdcdcd", "dedede", "efefef", "fgfgfg",
+    "acac", "adad", "aeae", "afaf", "agag", "bdbd", "bebe", "bfbf", "bgbg",
+    "cece", "cfcf", "cgcg", "dfdf", "dgdg", "egeg",
+]
 
 # name -> (generators, relators, subgroup)
 SMALL_PRESENTATIONS = {
@@ -145,7 +157,8 @@ class TestToddCoxeter:
         (["a", "b"], S4_RELATORS, [], 31, 24),
         (["a", "b", "c"], ["aa", "bb", "cc", "ababab", "bcbcbc", "acac"], ["a"], 18, 12),
         (["a"], ["aa"], [], 2, 2),
-    ], ids=["a5", "triangle-234", "coxeter-a3-over-a", "order-2"])
+        (list("abcdefg"), COXETER_S8_RELATORS, ["a"], 52083, 20160),
+    ], ids=["a5", "triangle-234", "coxeter-a3-over-a", "order-2", "coxeter-s8-over-a"])
     def test_limit_boundary_pins_cosets_defined(self, generators, relators, subgroup, rows, index):
         # the strategy defines exactly ``rows`` cosets, counting coset 0
         pres = Presentation.from_strings(generators, relators, subgroup)
@@ -184,6 +197,17 @@ class TestToddCoxeter:
                 with pytest.raises(AssertionError, match="relator"):
                     _validate_table(dataclasses.replace(outcome, table=table), pres)
 
+    def test_validation_refuses_wrong_inverse_entry(self):
+        # no relator reads an inverse column, so only the inverse check
+        # sees row 0's a^-1 entry turned from 1 to 2
+        pres = Presentation.from_strings(["a", "b"], ["aa", "bb", "ababab"])
+        outcome = todd_coxeter(pres)
+        table = [list(row) for row in outcome.table]
+        assert table[0][_column(-1)] == 1
+        table[0][_column(-1)] = 2
+        with pytest.raises(AssertionError, match="inverse column"):
+            _validate_table(dataclasses.replace(outcome, table=table), pres)
+
     def test_validation_refuses_subgroup_word_moving_origin(self):
         # the table of S3 over <ab> has index 2, and a is outside <ab>
         relators = ["aa", "bb", "ababab"]
@@ -219,6 +243,54 @@ class TestProperties:
                     c = perms[letter - 1][c] if letter > 0 else inverses[-letter - 1][c]
                 assert c == start
         assert len(naive_group_elements(perms)) == outcome.index
+
+
+def _words(n, min_size, max_size):
+    letters = st.sampled_from([x for g in range(1, n + 1) for x in (g, -g)])
+    return st.lists(letters, min_size=min_size, max_size=max_size).map(tuple)
+
+
+@st.composite
+def _random_presentations(draw):
+    """1-3 generators, up to four short relators, up to two subgroup words."""
+    n = draw(st.integers(1, 3))
+    relators = draw(st.lists(_words(n, 1, 6), max_size=4))
+    subgroup = draw(st.lists(_words(n, 0, 4), max_size=2))
+    return n, relators, subgroup
+
+
+@st.composite
+def _fibonacci_presentations(draw):
+    """F(2,n) = <x1..xn | xi x(i+1) = x(i+2)>, indices mod n, for n = 3..6
+    (orders 8, 5, 11 and infinite): their enumerations merge many cosets."""
+    n = draw(st.integers(3, 6))
+    relators = [(i + 1, (i + 1) % n + 1, -((i + 2) % n + 1)) for i in range(n)]
+    relators = draw(st.permutations(relators))
+    subgroup = draw(st.lists(_words(n, 1, 3), max_size=1))
+    return n, relators, subgroup
+
+
+class TestDefinitionOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_random_presentations(), _fibonacci_presentations()))
+    @example((2, [(1, 1), (2, 2, 2), (1, 2) * 5], []))
+    @example((5, [(1, 2, -3), (2, 3, -4), (3, 4, -5), (4, 5, -1), (5, 1, -2)], []))
+    def test_matches_flat_table_oracle(self, case):
+        n, relators, subgroup = case
+        generators = tuple(string.ascii_lowercase[:n])
+        pres = Presentation(generators, tuple(relators), tuple(subgroup))
+        limit = 2000
+        status, table, defined = todd_coxeter_flat(generators, relators, subgroup, limit)
+        outcome = todd_coxeter(pres, limit=limit)
+        assert (outcome.status, outcome.table) == (status, table)
+        if status == "overflow":
+            assert defined == limit
+            return
+        # the library defines exactly as many cosets as the oracle
+        outcome = todd_coxeter(pres, limit=defined)
+        assert outcome.completed and outcome.table == table
+        if defined > 1:
+            assert todd_coxeter(pres, limit=defined - 1).status == "overflow"
 
 
 @st.composite
