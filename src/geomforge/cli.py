@@ -264,11 +264,7 @@ def _cmd_local(args):
 
 def _cmd_hyp61(args):
     meta, inputs = _builtin(args)
-    g = meta.geometry
-    delta = geom.derived_graph(g)
-    action = meta.action.restricted(g.elements_of_type(g.rank))
-    report = local.hypothesis_61_check(delta, action)
-    return inputs, report.to_json()
+    return inputs, local.hypothesis_61_check(*local._derived_action(meta)).to_json()
 
 
 def _cmd_bench(args):

@@ -528,7 +528,11 @@ def _triangulability(
     complex_: TriangleComplex, limit: int
 ) -> tuple[TriangulabilityVerdict, Callable[[int], int]]:
     """is_triangulable's verdict, and H1's rank over GF(p) as a function of
-    p on the same presentation, which eliminates each prime at most once."""
+    p on the same presentation, which eliminates each prime at most once.
+    ``limit`` is checked first, as a verdict read off H1 never reaches
+    ``todd_coxeter``, which checks it too."""
+    if limit < 1:
+        raise ValueError("limit must be positive")
     if not _is_connected(complex_.graph):
         raise ValueError("triangulability requires a connected graph")
     presentation = pi1_presentation(complex_)

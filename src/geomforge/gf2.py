@@ -19,6 +19,14 @@ payload and the pivot columns, in natural order, depend on the matrix alone.
 ``rank`` runs the same kernels in echelon mode: each pivot column is cleared
 only below its pivot row, and the pivots are the same.
 
+``nullspace`` eliminates once, on the matrix with its columns reversed.  In
+those coordinates the basis vector of a free column f is 1 at f, 0 at every
+other free column, and nonzero only at pivots left of f, so f is its last
+nonzero entry.  Reversing the basis's columns makes f its leading 1, in a
+column where every other basis vector is 0; reversing its rows puts the
+leads in increasing order.  That is the reduced echelon basis of the
+nullspace, which is unique, so no second elimination is needed.
+
 Entries reach the uint8 array without a dense int64 copy where they can.
 ``from_rows`` reduces an array of bools or integers as it is and reads
 nested rows of ints in 0..255 in one pass as bytes; other rows are converted
@@ -257,14 +265,15 @@ class MatrixGFp:
 
     def nullspace(self) -> "MatrixGFp":
         """Canonical basis of the right nullspace, one vector per row, in
-        reduced echelon form."""
-        red, pivots = self.rref()
+        reduced echelon form, from one elimination of the column-reversed
+        matrix; see the module docstring."""
+        red, pivots = MatrixGFp._from_dense(self.prime, self._dense()[:, ::-1]).rref()
         free = np.setdiff1d(np.arange(self.cols), pivots)
         basis = np.zeros((free.size, self.cols), dtype=np.uint8)
         basis[np.arange(free.size), free] = 1
         # row f solves the pivot rows with x_f = 1: x_p = -red[r, f]
         basis[:, pivots] = (self.prime - red._dense()[: len(pivots), free].T) % self.prime
-        return MatrixGFp._from_dense(self.prime, basis).row_space()
+        return MatrixGFp._from_dense(self.prime, np.ascontiguousarray(basis[::-1, ::-1]))
 
     def row_space(self) -> "MatrixGFp":
         """Canonical echelon basis of the row space."""

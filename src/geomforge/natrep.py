@@ -3,11 +3,13 @@ universal module dimensions, the O3 commutant/centralizer split, and
 verification of concrete natural representations.
 
 All geometries handled here are of GF(2)-type: every line carries exactly
-three points, and the universal module is GF(2)^points modulo the span of
-the weight-3 line relation rows.  ``um_dimension`` reads the rank of those
-rows off an echelon basis of their bit masks; only the O3 split, which
-needs nullspaces and products, builds ``MatrixGFp`` matrices and so loads
-numpy.
+three points, and the universal module UM is GF(2)^points modulo the span R
+of the lines' relation masks, each the bits of a line's three points.
+Dimensions are read off echelon bases of bit masks (``build._basis_of``):
+dim UM is the number of points minus the rank of R, and the O3 split needs
+one more basis, of R together with the images of g + 1, since rank-nullity
+on UM gives the other summand.  Only ``relation_matrix``, which returns the
+relations as a ``MatrixGFp``, loads numpy.
 """
 
 from __future__ import annotations
@@ -75,65 +77,48 @@ def relation_matrix(g: Geometry) -> MatrixGFp:
     v_a + v_b + v_c = 0 for the three points of each line."""
     from .gf2 import MatrixGFp
 
-    points = g.elements_of_type(1)
-    col = {p: i for i, p in enumerate(points)}
-    entries = []
-    for r, (_, pts) in enumerate(_lines_with_points(g)):
-        for p in pts:
-            entries.append((r, col[p], 1))
-    return MatrixGFp.from_entries(2, len(g.elements_of_type(2)), len(points), entries)
+    col, relations = _relations(g)
+    entries = [(r, c, 1) for r, mask in enumerate(relations) for c in range(len(col)) if mask >> c & 1]
+    return MatrixGFp.from_entries(2, len(relations), len(col), entries)
+
+
+def _relations(g: Geometry) -> tuple[dict, list[int]]:
+    """The point column index and one relation mask per line: the bits of
+    the line's three points."""
+    col = {p: i for i, p in enumerate(g.elements_of_type(1))}
+    return col, [sum(1 << col[p] for p in pts) for _, pts in _lines_with_points(g)]
 
 
 def um_dimension(g: Geometry) -> NatRepResult:
     """dim UM = points - rank of the relation system, the number of vectors
-    in an echelon basis of the lines' point masks."""
-    col = {p: i for i, p in enumerate(g.elements_of_type(1))}
-    rank = len(_basis_of(sum(1 << col[p] for p in pts) for _, pts in _lines_with_points(g)))
+    in an echelon basis of the relation masks."""
+    col, relations = _relations(g)
+    rank = len(_basis_of(relations))
     return NatRepResult(len(col), rank, len(col) - rank)
 
 
 def o3_split_dims(g: Geometry, meta: ConstructionMetadata) -> NatRepResult:
     """Split dim UM into the commutant and centralizer of the lifted O3
-    generator: image and kernel of (g - 1) acting on the quotient module."""
-    from .gf2 import MatrixGFp
-
+    generator: image and kernel of (g + 1) acting on UM = V / R.  The image
+    is (T V + R) / R for T e_p = e_p + e_g(p), and the kernel has the rest
+    of dim UM by rank-nullity, which holds because g permutes the lines and
+    so maps R onto itself."""
     if meta.o3_generator is None:
         raise ValueError("construction metadata carries no O3 generator")
     o3 = meta.o3_generator
     if o3.order() != 3:
         raise ValueError(f"O3 generator must have order 3, found {o3.order()}")
-    points = g.elements_of_type(1)
-    n = len(points)
-    point_index = {p: i for i, p in enumerate(points)}
-    perm = _point_permutation(g, meta, points, point_index)
-
-    row_basis = relation_matrix(g).row_space()  # r x n
-    rank = row_basis.rows
-    # T = P + I where P e_p = e_{g(p)}: row p has ones at p and at perm[p]
-    t_entries = []
-    for p in range(n):
-        t_entries.append((p, p, 1))
-        if perm[p] != p:
-            t_entries.append((p, perm[p], 1))
-    t_matrix = MatrixGFp.from_entries(2, n, n, t_entries)
-
-    annihilator = row_basis.nullspace()  # (n-r) x n; x in R iff N x = 0
-    # centralizer: {x : T x in R} / R
-    constraint = annihilator.mul(t_matrix.transpose())
-    preimage_dim = n - constraint.rank()
-    centralizer = preimage_dim - rank
-    # commutant: (T V + R) / R
-    image_span = t_matrix.stack(row_basis)
-    commutant = image_span.rank() - rank
-    total = n - rank
-    if commutant + centralizer != total:
-        raise AssertionError("split dimensions do not add up to dim UM")
-    return NatRepResult(n, rank, total, split=(commutant, centralizer))
+    col, relations = _relations(g)
+    perm = _point_permutation(meta, col)
+    images = {sum(1 << q for i, q in enumerate(perm) if mask >> i & 1) for mask in relations}
+    if not images <= set(relations):
+        raise ValueError("the O3 generator does not map lines to lines")
+    n, rank = len(col), len(_basis_of(relations))
+    commutant = len(_basis_of(relations + [1 << p ^ 1 << perm[p] for p in range(n)])) - rank
+    return NatRepResult(n, rank, n - rank, split=(commutant, n - rank - commutant))
 
 
-def _point_permutation(
-    g: Geometry, meta: ConstructionMetadata, points, point_index
-) -> list[int]:
+def _point_permutation(meta: ConstructionMetadata, point_index: dict) -> list[int]:
     """The O3 generator as a permutation of point column indices, read off
     the action's image of that generator."""
     action = meta.action
@@ -141,7 +126,7 @@ def _point_permutation(
     if meta.o3_generator not in generators:
         raise ValueError("the O3 generator is not a generator of the construction's action")
     gen_pos = generators.index(meta.o3_generator)
-    return [point_index[action.apply(gen_pos, p)] for p in points]
+    return [point_index[action.apply(gen_pos, p)] for p in point_index]
 
 
 @dataclass

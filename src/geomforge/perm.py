@@ -784,13 +784,11 @@ def natural_action(group: PermutationGroup) -> GroupAction:
 
 @dataclass
 class SubgroupPredicate:
-    """Search target for subgroup_search: an exact order, an optional
-    subgroup that must be contained, and an optional order for the quotient
-    by that subgroup (all orders must divide the ambient order)."""
+    """Search target for subgroup_search: an exact order, which must divide
+    the ambient order, and an optional subgroup that must be contained."""
 
     order: int
     contains: Optional[PermutationGroup] = None
-    quotient_order: Optional[int] = None
 
     def admissible_element_orders(self) -> set[int]:
         return {d for d in range(1, self.order + 1) if self.order % d == 0}
@@ -813,11 +811,6 @@ def subgroup_search(
     ambient_order = group.order()
     if ambient_order % predicate.order != 0:
         raise ValueError("target order does not divide the ambient group order")
-    if predicate.quotient_order is not None:
-        if predicate.contains is None:
-            raise ValueError("quotient_order requires a contained subgroup")
-        if predicate.order != predicate.quotient_order * predicate.contains.order():
-            raise ValueError("order, contained order and quotient_order disagree")
     if predicate.order == ambient_order:
         return group
     required = list(predicate.contains.generators) if predicate.contains else []

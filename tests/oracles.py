@@ -77,6 +77,53 @@ def rref2_by_column(work, rows, cols):
     return pivots
 
 
+def nullspace_by_two_eliminations(matrix):
+    """Canonical right nullspace basis of a ``MatrixGFp``: one vector per
+    free column of the reduced echelon form, then a second elimination of
+    those vectors to their reduced echelon form.  ``MatrixGFp.nullspace``
+    before it eliminated the column-reversed matrix once, moved here as its
+    reference."""
+    from geomforge.gf2 import MatrixGFp
+
+    red, pivots = matrix.rref()
+    free = np.setdiff1d(np.arange(matrix.cols), pivots)
+    basis = np.zeros((free.size, matrix.cols), dtype=np.uint8)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (matrix.prime - red._dense()[: len(pivots), free].T) % matrix.prime
+    return MatrixGFp._from_dense(matrix.prime, basis).row_space()
+
+
+def o3_split_by_matrices(g, meta):
+    """(commutant, centralizer) of the O3 generator on the universal GF(2)
+    module, each computed on its own with ``MatrixGFp`` matrices: the
+    commutant (T V + R) / R as a rank, the centralizer {x : T x in R} / R
+    through the annihilator of the relation space R.  T e_p = e_p + e_g(p).
+    This is ``geomforge.natrep.o3_split_dims`` before it read the split off
+    bit-mask ranks, moved here as its reference.  Here the point permutation
+    is read off the action, the nullspace is the two-elimination one, and
+    the row of T at a fixed point is zero, where the library's was e_p."""
+    from geomforge.gf2 import MatrixGFp
+
+    points = g.elements_of_type(1)
+    n = len(points)
+    index = {p: i for i, p in enumerate(points)}
+    gen_pos = list(meta.action.group.generators).index(meta.o3_generator)
+    perm = [index[meta.action.apply(gen_pos, p)] for p in points]
+    lines = g.elements_of_type(2)
+    relations = MatrixGFp.from_entries(2, len(lines), n, [
+        (r, index[x], 1) for r, line in enumerate(lines) for x in g.pencil(line) if x in index
+    ])
+    row_basis = relations.row_space()
+    rank = row_basis.rows
+    # repeated cells add up, so the row of a fixed point p is e_p + e_p = 0
+    t_entries = [(p, p, 1) for p in range(n)] + [(p, perm[p], 1) for p in range(n)]
+    t_matrix = MatrixGFp.from_entries(2, n, n, t_entries)
+    annihilator = nullspace_by_two_eliminations(row_basis)  # x in R iff N x = 0
+    centralizer = n - annihilator.mul(t_matrix.transpose()).rank() - rank
+    commutant = t_matrix.stack(row_basis).rank() - rank
+    return commutant, centralizer
+
+
 def accumulate_entries(prime, rows, cols, entries):
     """Dense rows of the (row, col, value) triples added up per cell mod
     prime, through a dict; None when a coordinate lies outside."""

@@ -129,6 +129,17 @@ class TestExitCodes:
         assert code == 4 and report["status"] == "bad-input" and report["command"] == "cover"
         assert report["results"] == {"error": "--subgroup does not apply to --triangulable"}
 
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_cover_triangulable_refuses_nonpositive_limit(self, capsys, tmp_path, limit):
+        # the square's verdict is read off H1 over GF(2), before any enumeration
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps({
+            "vertices": [0, 1, 2, 3], "edges": [[0, 1], [1, 2], [2, 3], [0, 3]], "triangles": [],
+        }))
+        code, report = run_cli(capsys, "cover", "--input", str(path), "--triangulable", f"--limit={limit}")
+        assert code == 4 and report["status"] == "bad-input" and report["command"] == "cover"
+        assert report["results"] == {"error": "limit must be positive"}
+
     def test_cover_refuses_homology_prime_without_triangulable(self, capsys, tmp_path):
         # only the verdict computes a homology rank
         path = tmp_path / "square.json"
@@ -308,6 +319,23 @@ class TestCommands:
         )
         assert code == 0 and report["results"]["subgraphs"] == 3
 
+    def test_hyp61_reads_the_derived_action_of_local(self, capsys, monkeypatch):
+        # the derived graph and the action on top-type elements are built
+        # once, by the helper that the kernel series uses too
+        from geomforge import local
+
+        calls = []
+        derived_action = local._derived_action
+
+        def spying(meta):
+            calls.append(meta)
+            return derived_action(meta)
+
+        monkeypatch.setattr(local, "_derived_action", spying)
+        code, report = run_cli(capsys, "hyp61", "--builtin", "petersen")
+        assert code == 0 and report["results"]["verdict"] == "fail"
+        assert len(calls) == 1
+
     def test_hyp61_petersen(self, capsys):
         code, report = run_cli(capsys, "hyp61", "--builtin", "petersen")
         assert code == 0
@@ -434,6 +462,7 @@ for argv in [
     ["tc", "--input", presentation],
     ["local", "kernels", "--builtin", "tilde", "--seed", "3"],
     ["hyp61", "--builtin", "tilde", "--seed", "3"],
+    ["natrep", "dim", "--builtin", "tilde", "--seed", "3", "--split"],
 ]:
     assert geomforge.cli.main(argv) == 0, argv
     assert "numpy" not in sys.modules, argv
@@ -454,7 +483,7 @@ class TestNumpyOnUse:
         )
         assert result.returncode == 0, result.stderr
         reports = [json.loads(line) for line in result.stdout.splitlines()]
-        assert [r["status"] for r in reports] == ["ok"] * 8
+        assert [r["status"] for r in reports] == ["ok"] * 9
 
 
 class TestRoundTrips:

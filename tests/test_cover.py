@@ -485,6 +485,12 @@ class TestTriangulability:
             "no", "H1 over GF(3) has rank 1"
         )
 
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_limit_checked_before_a_homology_verdict(self, limit):
+        # C4 has H1 of rank 1 over GF(2), a verdict that needs no enumeration
+        with pytest.raises(ValueError, match="limit must be positive"):
+            is_triangulable(TriangleComplex(cycle_graph(4)), limit=limit)
+
     def test_builds_one_presentation(self, monkeypatch):
         built = []
 

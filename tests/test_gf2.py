@@ -23,6 +23,7 @@ from oracles import (
     naive_rank,
     naive_span,
     naive_subspaces,
+    nullspace_by_two_eliminations,
     rref2_by_column,
     subspace_count,
 )
@@ -76,6 +77,42 @@ class TestRankNullspace:
             for j in range(basis.rows):
                 if j != i:
                     assert rows[j][lead] == 0
+
+    def test_nullspace_eliminates_once(self, monkeypatch):
+        calls = []
+        eliminate = MatrixGFp._eliminate
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            return eliminate(self, *args, **kwargs)
+
+        monkeypatch.setattr(MatrixGFp, "_eliminate", counting)
+        for p in (2, 3):
+            calls.clear()
+            MatrixGFp.from_rows(p, [[1, 1, 0, 1], [0, 1, 1, 0], [1, 0, 1, 1]]).nullspace()
+            assert len(calls) == 1
+
+    def test_nullspace_matches_two_elimination_oracle_across_words(self):
+        # widths that leave a partial last word, so the reversed columns
+        # are packed at other bit offsets than the original ones
+        rng = np.random.default_rng(24)
+        for p, rows, cols in [(2, 40, 130), (2, 70, 65), (2, 130, 190), (3, 50, 97), (3, 9, 140)]:
+            dense = rng.integers(0, p, size=(rows, cols))
+            dense[:, rng.integers(0, cols, size=cols // 4)] = 0  # free columns among the pivots
+            m = MatrixGFp.from_rows(p, dense)
+            assert m.nullspace() == nullspace_by_two_eliminations(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(0, 12), st.integers(0, 12), st.data())
+    def test_nullspace_matches_two_elimination_oracle(self, p, rows, cols, data):
+        # zero-row and zero-column shapes included; a GF(3) payload stays
+        # C-contiguous like every other one
+        row = st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols)
+        m = MatrixGFp.from_rows(p, data.draw(st.lists(row, min_size=rows, max_size=rows)), cols=cols)
+        basis = m.nullspace()
+        assert basis == nullspace_by_two_eliminations(m)
+        assert basis._payload.flags.c_contiguous
+
 
 
 class TestOracleComparison:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomforge.build import projective_geometry_2
-from geomforge.geom import Geometry, truncation
+from geomforge.build import ConstructionMetadata, projective_geometry_2
+from geomforge.geom import Geometry, element_action, truncation
 from geomforge.natrep import (
     NotGF2TypeError,
     o3_split_dims,
@@ -16,7 +16,27 @@ from geomforge.natrep import (
     um_dimension,
     verify_natural_representation,
 )
-from oracles import naive_rank
+from geomforge.perm import Permutation, PermutationGroup
+from oracles import naive_rank, o3_split_by_matrices
+
+
+def _rotated_system(n, lines, generator):
+    """Rank-2 geometry on points ("pt", i) and lines ("ln", (i, j, k)), with
+    the metadata of the checked action of <generator> on it."""
+    g = Geometry(
+        2,
+        [(("pt", i), 1) for i in range(n)] + [(("ln", line), 2) for line in lines],
+        [(("pt", x), ("ln", line)) for line in lines for x in line],
+    )
+    group = PermutationGroup([generator])
+
+    def rule(p, eid):
+        kind, payload = eid
+        if kind == "pt":
+            return (kind, p.images[payload])
+        return (kind, tuple(sorted(p.images[x] for x in payload)))
+
+    return g, ConstructionMetadata(g, group, element_action(g, group, rule), o3_generator=generator)
 
 
 class TestRelationMatrix:
@@ -115,27 +135,57 @@ class TestO3Split:
         result = o3_split_dims(t0.geometry, t0)
         assert sum(result.split) == result.total_dim
 
-    def test_relation_matrix_eliminated_once(self, t0, monkeypatch):
-        # the rank is read off the row space's rows
-        from geomforge import natrep
-        from geomforge.gf2 import MatrixGFp
+    def test_t0_split_matches_matrix_oracle(self, t0):
+        assert o3_split_dims(t0.geometry, t0).split == o3_split_by_matrices(t0.geometry, t0)
 
-        built, eliminated = [], []
-        relation_matrix_, eliminate = natrep.relation_matrix, MatrixGFp._eliminate
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_split_matches_matrix_oracle_on_random_systems(self, data):
+        # up to 12 points, an order-3 permutation of them (1-3 three-cycles
+        # on random points) and lines closed under it; rank-nullity on bit
+        # masks must give the split that the matrix pipeline computes
+        cycles, fixed = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+        n = 3 * cycles + fixed
+        moved = data.draw(st.permutations(range(n)))[: 3 * cycles]
+        images = list(range(n))
+        for a, b, c in zip(moved[0::3], moved[1::3], moved[2::3]):
+            images[a], images[b], images[c] = b, c, a
+        seeds = data.draw(st.lists(st.sampled_from(list(combinations(range(n), 3))), max_size=8))
+        lines = set()
+        for line in seeds:
+            for _ in range(3):
+                lines.add(tuple(sorted(line)))
+                line = tuple(images[x] for x in line)
+        g, meta = _rotated_system(n, sorted(lines), Permutation(images))
+        result = o3_split_dims(g, meta)
+        assert result.split == o3_split_by_matrices(g, meta)
+        assert (result.points, result.total_dim) == (n, n - result.relation_rank)
 
-        def building(g):
-            built.append(relation_matrix_(g))
-            return built[-1]
+    def test_fixed_points_are_in_the_centralizer(self):
+        # no lines, so UM = GF(2)^4; (0 1 2) fixes e_3 and e_0 + e_1 + e_2,
+        # and g + 1 has image <e_0 + e_1, e_1 + e_2>.  Row p of T = P + I is
+        # e_p + e_g(p), zero at a fixed point p, not e_p
+        g, meta = _rotated_system(4, [], Permutation.from_cycles(4, [(0, 1, 2)]))
+        assert o3_split_dims(g, meta).split == (2, 2)
 
-        def eliminating(self, *args, **kwargs):
-            eliminated.append(self)
-            return eliminate(self, *args, **kwargs)
+    def test_o3_moving_a_line_off_the_lines_rejected(self):
+        # a bare action, never checked against incidence: its points turn
+        # by the rotation while the lines stay put, so the image {1, 4, 7}
+        # of the line {0, 3, 6} is no line
+        from geomforge.perm import induced_action
 
-        monkeypatch.setattr(natrep, "relation_matrix", building)
-        monkeypatch.setattr(MatrixGFp, "_eliminate", eliminating)
-        assert o3_split_dims(t0.geometry, t0).split == (6, 5)
-        assert len(built) == 1
-        assert sum(m is built[0] for m in eliminated) == 1
+        rot = Permutation.from_cycles(9, [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
+        lines = [(0, 3, 6), (1, 4, 8)]
+        g, _ = _rotated_system(9, lines, Permutation.identity(9))
+        group = PermutationGroup([rot])
+
+        def rule(p, eid):
+            kind, payload = eid
+            return (kind, p.images[payload]) if kind == "pt" else eid
+
+        meta = ConstructionMetadata(g, group, induced_action(group, g.elements, rule), o3_generator=rot)
+        with pytest.raises(ValueError, match="does not map lines to lines"):
+            o3_split_dims(g, meta)
 
     def test_requires_o3(self, p0):
         with pytest.raises(ValueError):
@@ -217,7 +267,7 @@ class TestO3Split:
         g = t0.geometry
         points = g.elements_of_type(1)
         index = {p: i for i, p in enumerate(points)}
-        perm = _point_permutation(g, t0, points, index)
+        perm = _point_permutation(t0, index)
         n = len(points)
         entries = []
         for p in range(n):

@@ -280,6 +280,11 @@ class TestSubgroupSearch:
                 PermutationGroup.symmetric(4), SubgroupPredicate(order=7), seed=1
             )
 
+    def test_predicate_has_no_quotient_order(self):
+        # an order and a contained subgroup are the whole search target
+        with pytest.raises(TypeError):
+            SubgroupPredicate(order=12, contains=PermutationGroup.alternating(4), quotient_order=1)
+
     def test_deterministic_given_seed(self):
         s4 = PermutationGroup.symmetric(4)
         a = subgroup_search(s4, SubgroupPredicate(order=8), seed=5)
