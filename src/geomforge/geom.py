@@ -7,13 +7,21 @@ Elements carry a type in 1..rank; two incident elements never share a type.
 Ids may be ints, strings or nested tuples.  The constructor orders the
 elements once, by type and then by ``label_key``; everything derived from a
 geometry keeps that order.
+
+Flag walks run on canonical indices: bit i of a mask stands for
+``elements[i]``.  A geometry builds its pencil and type masks on its first
+walk and keeps them (about N^2/8 bytes; an unwalked geometry holds none).
+Children are visited in increasing index, which is canonical order, so the
+walk order and the first failure reported are those of the labels.  Labels
+appear only in failure strings, returned flags, ``walk_flags`` and the
+residues that the isomorphism tests build.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, groupby
 from typing import Iterable, Optional, Sequence
 
@@ -153,45 +161,63 @@ class Geometry:
             self.incident(a, b) for i, a in enumerate(flag) for b in flag[i + 1 :]
         )
 
+    @cached_property
+    def _masks(self) -> tuple[list[int], dict]:
+        """The pencil mask of each element, by canonical index, and the mask
+        of each type: built on the first walk."""
+        order = self._order
+        pencils = [sum(1 << order[b] for b in self._adj[e]) for e in self.elements]
+        by_type, start = {}, 0
+        for t in range(1, self.rank + 1):
+            end = start + len(self.elements_of_type(t))
+            by_type[t], start = (1 << end) - (1 << start), end
+        return pencils, by_type
+
+    def _walk(self, visit, limit: int) -> bool:
+        """Depth-first walk over the flags of at most ``limit`` elements as
+        tuples of increasing indices.  ``visit(flag, candidates)`` gets the
+        mask of the elements incident to all of the flag; a truthy return
+        aborts the walk, which then returns True.  Same-type elements are
+        never incident, so the pencil masks keep the types apart."""
+        pencils = self._masks[0]
+
+        def rec(flag: tuple, cands: int) -> bool:
+            if visit(flag, cands):
+                return True
+            if len(flag) < limit:
+                floor = flag[-1] + 1 if flag else 0
+                for i in _bits(cands >> floor << floor):
+                    if rec(flag + (i,), cands & pencils[i]):
+                        return True
+            return False
+
+        return rec((), (1 << len(self.elements)) - 1)
+
     def walk_flags(self, visit, max_size: Optional[int] = None) -> bool:
         """Depth-first walk over all flags, each visited exactly once.
 
         ``visit(flag_tuple, candidates)`` receives the flag (in canonical
         order) and the full set of elements incident to all of it; a flag is
         non-extensible exactly when candidates is empty.  Any truthy return
-        value aborts the walk, and the walk then returns True.  Same-type
-        elements are never incident, so pencil intersection handles type
-        disjointness automatically.
-        """
-        limit = self.rank if max_size is None else max_size
-        order = self._order
-        all_set = frozenset(self.elements)
+        value aborts the walk, and the walk then returns True.  The label
+        view of :meth:`_walk`."""
+        els = self.elements
 
-        def rec(flag: tuple, cands) -> bool:
-            if visit(flag, cands):
-                return True
-            if len(flag) >= limit:
-                return False
-            floor = order[flag[-1]] if flag else -1
-            for e in sorted(cands, key=order.get):
-                if order[e] <= floor:
-                    continue
-                if rec(flag + (e,), cands & self._adj[e]):
-                    return True
-            return False
+        def labelled(flag, cands):
+            return visit(tuple(els[i] for i in flag), frozenset(els[i] for i in _bits(cands)))
 
-        return rec((), all_set)
+        return self._walk(labelled, self.rank if max_size is None else max_size)
 
     def maximal_flags(self) -> list[tuple]:
         """All flags meeting every type, as canonically ordered tuples."""
+        els = self.elements
         out: list[tuple] = []
 
         def visit(flag, cands):
             if len(flag) == self.rank:
-                out.append(flag)
-            return None
+                out.append(tuple(els[i] for i in flag))
 
-        self.walk_flags(visit)
+        self._walk(visit, self.rank)
         return out
 
     # -- serialization --------------------------------------------------------
@@ -237,6 +263,16 @@ def _id_to_str(eid) -> str:
     return eid if isinstance(eid, str) else repr(eid)
 
 
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of a mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 # ---------------------------------------------------------------------------
 # geometry axioms
 
@@ -264,32 +300,39 @@ def is_geometry(candidate: Geometry) -> GeometryVerdict:
 def _axiom_walk(g: Geometry, also=None) -> list[str]:
     """The failures :func:`is_geometry` reports, from one walk over the
     flags of size at most rank - 1.  ``also(flag, candidates)``, when
-    given, sees every flag the walk visits up to the first one that
-    misses a type, which ends the walk; a true return says that the
-    flag's residue is connected, which spares its search."""
-    rank = g.rank
+    given, sees every flag the walk visits (as indices and a mask) up to
+    the first one that misses a type, which ends the walk; a true return
+    says that the flag's residue is connected, which spares its search."""
+    rank, els = g.rank, g.elements
+    pencils = g._masks[0]
     missing: list[str] = []
     disconnected: list[str] = []
 
     def visit(flag, cands):
         if len(flag) < rank and not cands:
-            missing.append(f"maximal flag {[_id_to_str(e) for e in flag]} misses some type")
+            missing.append(f"maximal flag {[_id_to_str(els[i]) for i in flag]} misses some type")
             return True
         shown = also is not None and also(flag, cands)
-        if not (disconnected or shown) and len(flag) <= rank - 2 and not _subset_connected(g, cands):
-            disconnected.append(f"residue of flag {[_id_to_str(e) for e in flag]} is disconnected")
+        if not (disconnected or shown) and len(flag) <= rank - 2 and not _connected(pencils, cands):
+            disconnected.append(f"residue of flag {[_id_to_str(els[i]) for i in flag]} is disconnected")
         return None
 
-    g.walk_flags(visit, max_size=rank - 1)
+    g._walk(visit, rank - 1)
     return missing or disconnected
 
 
-def _subset_connected(g: Geometry, subset: frozenset) -> bool:
-    """Connectivity of the incidence graph induced on a subset."""
-    if not subset:
-        return True
-    adj = g._adj
-    return len(_closure([next(iter(subset))], lambda e: adj[e] & subset)) == len(subset)
+def _connected(pencils: list[int], subset: int) -> bool:
+    """Connectivity of the incidence graph induced on a mask, by a search
+    that takes one reached element at a time."""
+    todo = subset & -subset
+    left = subset ^ todo
+    while todo and left:
+        low = todo & -todo
+        todo ^= low
+        reached = pencils[low.bit_length() - 1] & left
+        left ^= reached
+        todo |= reached
+    return not left
 
 
 # ---------------------------------------------------------------------------
@@ -463,19 +506,24 @@ def diagram(g: Geometry) -> DiagramReport:
     types = range(1, g.rank + 1)
     classes: dict = {(i, j): set() for i in types for j in types if i < j}
     sizes: dict = {i: set() for i in types}
+    type_at = [g.type_of[e] for e in g.elements]
+    by_type = g._masks[1]
+    # a flag's types are distinct, so one missing type is this less their sum
+    all_types = sum(types)
 
     def classify(flag, cands):
-        flag_types = {g.type_of[e] for e in flag}
-        missing = tuple(t for t in types if t not in flag_types)
-        # two classes already make the edge unknown
-        if len(missing) == 2 and len(classes[missing]) < 2:
-            points = frozenset(e for e in cands if g.type_of[e] == missing[0])
-            found = _classify_rank2(g, flag, points, cands - points)
-            classes[missing].add(found)
-            # each named class is a connected rank-2 geometry
-            return found != UNKNOWN
-        if len(missing) == 1:
-            sizes[missing[0]].add(len(cands))
+        if len(flag) == g.rank - 1:
+            sizes[all_types - sum(type_at[i] for i in flag)].add(cands.bit_count())
+        elif len(flag) == g.rank - 2:
+            flag_types = {type_at[i] for i in flag}
+            missing = tuple(t for t in types if t not in flag_types)
+            # two classes already make the edge unknown
+            if len(classes[missing]) < 2:
+                points = cands & by_type[missing[0]]
+                found = _classify_rank2(g, flag, points, cands ^ points)
+                classes[missing].add(found)
+                # each named class is a connected rank-2 geometry
+                return found != UNKNOWN
         return False
 
     failures = _axiom_walk(g, classify)
@@ -486,40 +534,45 @@ def diagram(g: Geometry) -> DiagramReport:
     return DiagramReport(g.rank, edges, orders)
 
 
-def _classify_rank2(g: Geometry, flag: tuple, points: frozenset, lines: frozenset) -> str:
-    """Class of the rank-2 residue of ``flag``, whose elements of the lower
-    missing type are ``points`` and the others ``lines``, read off the
-    pencils of ``g``.  Only the isomorphism tests build the residue."""
+def _classify_rank2(g: Geometry, flag: tuple, points: int, lines: int) -> str:
+    """Class of the rank-2 residue of the index tuple ``flag``, whose
+    elements of the lower missing type are the mask ``points`` and the
+    others the mask ``lines``, read off the pencil masks of ``g``.  Only
+    the isomorphism tests build the residue."""
     if not points or not lines:
         return UNKNOWN
-    adj = g._adj
-    if all(lines <= adj[p] for p in points):
+    pencils = g._masks[0]
+    on_point = [pencils[p] & lines for p in _bits(points)]
+    if all(through == lines for through in on_point):
         return DIGON
-    counts = (len(points), len(lines))
+    counts = (len(on_point), lines.bit_count())
     if counts in ((7, 7), (15, 15)):
-        on_point = {p: adj[p] & lines for p in points}
-        on_line = {l: adj[l] & points for l in lines}
-        if all(len(s) == 3 for s in (*on_point.values(), *on_line.values())):
+        on_line = {l: pencils[l] & points for l in _bits(lines)}
+        if all(m.bit_count() == 3 for m in (*on_point, *on_line.values())):
             # Fano: two distinct points lie on exactly one common line
             if counts == (7, 7) and all(
-                len(on_point[p] & on_point[q]) == 1 for p, q in combinations(points, 2)
+                (a & b).bit_count() == 1 for a, b in combinations(on_point, 2)
             ):
                 return PROJECTIVE_PLANE_2
             if counts == (15, 15) and _is_quadrangle(on_point, on_line):
                 return GQ_2_2
-    if counts == (15, 10) and _matches_reference(residue(g, flag), "petersen"):
+    labels = [g.elements[i] for i in flag]
+    if counts == (15, 10) and _matches_reference(residue(g, labels), "petersen"):
         return PETERSEN_EDGE
-    if counts == (45, 45) and _matches_reference(residue(g, flag), "tilde"):
+    if counts == (45, 45) and _matches_reference(residue(g, labels), "tilde"):
         return TILDE_EDGE
     return UNKNOWN
 
 
-def _is_quadrangle(on_point: dict, on_line: dict) -> bool:
+def _is_quadrangle(on_point: list[int], on_line: dict) -> bool:
     """Generalized-quadrangle axiom: a point off a line is collinear with
-    exactly one of its points."""
-    for through in on_point.values():
-        near = frozenset().union(*(on_line[l] for l in through))
-        if any(len(on_line[l] & near) != 1 for l in on_line if l not in through):
+    exactly one of its points.  ``on_point`` holds the line mask of each
+    point, ``on_line`` the point mask of each line index."""
+    for through in on_point:
+        near = 0
+        for l in _bits(through):
+            near |= on_line[l]
+        if any((on_line[l] & near).bit_count() != 1 for l in on_line if not through >> l & 1):
             return False
     return True
 
@@ -613,14 +666,19 @@ def is_s_covering(f: GeometryMorphism, s: int) -> bool:
     if not f.is_surjective():
         return False
     src, tgt = f.source, f.target
+    image = [tgt._order[f.mapping[e]] for e in src.elements]
+    pencils = tgt._masks[0]
 
     def visit(flag, cands):
         if len(flag) < src.rank - s:
             return None
-        image = frozenset.intersection(*(tgt._adj[f(x)] for x in flag))
-        return len(cands) != len(image) or len({f(e) for e in cands}) != len(cands)
+        over = pencils[image[flag[0]]]
+        for x in flag[1:]:
+            over &= pencils[image[x]]
+        count = cands.bit_count()
+        return count != over.bit_count() or len({image[i] for i in _bits(cands)}) != count
 
-    return not src.walk_flags(visit, max_size=src.rank - 1)
+    return not src._walk(visit, src.rank - 1)
 
 
 # ---------------------------------------------------------------------------

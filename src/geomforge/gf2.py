@@ -173,7 +173,12 @@ class MatrixGFp:
         """Build from (row, col, value) coordinate triples of integers;
         repeated coordinates add up.  Floats raise ValueError.  The residues
         are summed per distinct cell, so the only rows x cols array is the
-        uint8 result."""
+        uint8 result.  The prime and the shape are checked before any
+        arithmetic."""
+        if prime not in (2, 3):
+            raise ValueError("prime must be 2 or 3")
+        if rows < 0 or cols < 0:
+            raise ShapeError(f"shape {rows}x{cols} has a negative dimension")
         listed = [(r, c, v) for r, c, v in entries]
         triples = np.array(listed, dtype=None if listed else np.int64).reshape(-1, 3)
         if triples.dtype.kind not in "biu":
@@ -435,6 +440,8 @@ def parse_matrix(text: str) -> MatrixGFp:
     if len(head) != 3:
         raise ShapeError("header must be 'rows cols prime'")
     rows, cols, prime = (int(x) for x in head)
+    if rows < 0 or cols < 0:
+        raise ShapeError(f"header {lines[0]!r} gives a negative dimension")
     entries = []
     for ln in lines[1:]:
         parts = ln.split()

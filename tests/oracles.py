@@ -531,6 +531,142 @@ def naive_rank2_class(points, lines, incidences):
     return "unknown"
 
 
+def walk_flags_by_frozensets(g, visit, max_size=None):
+    """Depth-first walk over the flags of a geometry on frozensets of
+    labels: ``visit(flag, candidates)`` gets the flag as a label tuple in
+    canonical order and the frozenset of elements incident to all of it,
+    and a truthy return aborts the walk, which then returns True.  Each
+    node sorts its candidates again and skips those not above the flag's
+    last element.  ``geomforge.geom.Geometry.walk_flags`` before the walk
+    ran on indices and pencil bit masks, moved here as its reference."""
+    limit = g.rank if max_size is None else max_size
+    order = {e: i for i, e in enumerate(g.elements)}
+
+    def rec(flag, cands):
+        if visit(flag, cands):
+            return True
+        if len(flag) >= limit:
+            return False
+        floor = order[flag[-1]] if flag else -1
+        for e in sorted(cands, key=order.get):
+            if order[e] <= floor:
+                continue
+            if rec(flag + (e,), cands & g.pencil(e)):
+                return True
+        return False
+
+    return rec((), frozenset(g.elements))
+
+
+def maximal_flags_by_frozensets(g):
+    """The flags of size rank, in walk order."""
+    out = []
+
+    def visit(flag, cands):
+        if len(flag) == g.rank:
+            out.append(flag)
+
+    walk_flags_by_frozensets(g, visit)
+    return out
+
+
+def _connected_by_frozensets(g, subset):
+    if not subset:
+        return True
+    seen, todo = set(), [next(iter(subset))]
+    while todo:
+        e = todo.pop()
+        if e not in seen:
+            seen.add(e)
+            todo.extend(g.pencil(e) & subset)
+    return len(seen) == len(subset)
+
+
+def axiom_failures_by_frozensets(g, also=None):
+    """The failures ``geomforge.geom.is_geometry`` reports, from the
+    frozenset walk over the flags of size at most rank - 1, with the
+    library's messages: a flag that misses a type ends the walk and is
+    reported alone, otherwise the first disconnected residue is.
+    ``also(flag, candidates)`` may vouch that a residue is connected."""
+    from geomforge.geom import _id_to_str
+
+    missing, disconnected = [], []
+
+    def visit(flag, cands):
+        if len(flag) < g.rank and not cands:
+            missing.append(f"maximal flag {[_id_to_str(e) for e in flag]} misses some type")
+            return True
+        shown = also is not None and also(flag, cands)
+        if not (disconnected or shown) and len(flag) <= g.rank - 2 and not _connected_by_frozensets(g, cands):
+            disconnected.append(f"residue of flag {[_id_to_str(e) for e in flag]} is disconnected")
+        return None
+
+    walk_flags_by_frozensets(g, visit, g.rank - 1)
+    return missing or disconnected
+
+
+def _rank2_class_by_frozensets(g, flag, points, lines):
+    from geomforge.geom import _matches_reference, residue
+
+    if not points or not lines:
+        return "unknown"
+    if all(lines <= g.pencil(p) for p in points):
+        return "digon"
+    counts = (len(points), len(lines))
+    if counts in ((7, 7), (15, 15)):
+        on_point = {p: g.pencil(p) & lines for p in points}
+        on_line = {l: g.pencil(l) & points for l in lines}
+        if all(len(x) == 3 for x in (*on_point.values(), *on_line.values())):
+            if counts == (7, 7) and all(
+                len(on_point[p] & on_point[q]) == 1 for p, q in combinations(points, 2)
+            ):
+                return "projective-plane-2"
+            if counts == (15, 15) and all(
+                len(on_line[l] & frozenset().union(*(on_line[m] for m in through))) == 1
+                for through in on_point.values()
+                for l in on_line
+                if l not in through
+            ):
+                return "gq-2-2"
+    if counts == (15, 10) and _matches_reference(residue(g, flag), "petersen"):
+        return "petersen-edge"
+    if counts == (45, 45) and _matches_reference(residue(g, flag), "tilde"):
+        return "tilde-edge"
+    return "unknown"
+
+
+def diagram_by_frozensets(g):
+    """``geomforge.geom.diagram`` on the frozenset walk: the rank-2
+    residue classes and node orders as the library computed them before
+    its walk ran on pencil bit masks, moved here as its reference.  A
+    candidate that fails the axioms raises GeometryError with the
+    library's message."""
+    from geomforge.geom import DiagramReport, GeometryError
+
+    types = range(1, g.rank + 1)
+    classes = {(i, j): set() for i in types for j in types if i < j}
+    sizes = {i: set() for i in types}
+
+    def classify(flag, cands):
+        flag_types = {g.type_of[e] for e in flag}
+        missing = tuple(t for t in types if t not in flag_types)
+        if len(missing) == 2 and len(classes[missing]) < 2:
+            points = frozenset(e for e in cands if g.type_of[e] == missing[0])
+            found = _rank2_class_by_frozensets(g, flag, points, cands - points)
+            classes[missing].add(found)
+            return found != "unknown"
+        if len(missing) == 1:
+            sizes[missing[0]].add(len(cands))
+        return False
+
+    failures = axiom_failures_by_frozensets(g, classify)
+    if failures:
+        raise GeometryError(f"diagram requires a geometry: {failures}")
+    edges = {pair: found.pop() if len(found) == 1 else "unknown" for pair, found in classes.items()}
+    orders = {i: found.pop() - 1 if len(found) == 1 else None for i, found in sizes.items()}
+    return DiagramReport(g.rank, edges, orders)
+
+
 def s_covering_by_residues(f, s):
     """The residue-based s-covering test, moved here from
     ``geomforge.geom.is_s_covering``: f must be surjective, and for every
@@ -563,7 +699,7 @@ def s_covering_by_residues(f, s):
         res_tgt = residue(f.target, sorted({f(e) for e in flag}, key=label_key))
         return not is_isomorphism(residue(src, flag), res_tgt)
 
-    return not src.walk_flags(visit, max_size=src.rank - 1)
+    return not walk_flags_by_frozensets(src, visit, src.rank - 1)
 
 
 def homology_rank_by_boundary(complex_, prime):

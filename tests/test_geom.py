@@ -4,9 +4,10 @@ graphs, truncations, quotients, coverings, isomorphism and amalgams."""
 import json
 import random
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, find, given, settings
 from hypothesis import strategies as st
 
 from geomforge import build
@@ -36,9 +37,13 @@ from geomforge.graphs import graph_isomorphism, petersen_graph
 from geomforge.perm import Permutation, PermutationGroup, StabilizerChain, induced_action, label_key
 from oracles import (
     amalgam_orders_by_stabilizers,
+    axiom_failures_by_frozensets,
     common_neighbor_edges,
+    diagram_by_frozensets,
+    maximal_flags_by_frozensets,
     naive_rank2_class,
     s_covering_by_residues,
+    walk_flags_by_frozensets,
 )
 
 
@@ -845,3 +850,143 @@ class TestAmalgam:
         action = element_action(fano.geometry, PermutationGroup.trivial(7), lambda p, e: e)
         with pytest.raises(ActionError):
             amalgam_report(fano.geometry, action, fano.geometry.maximal_flags()[0])
+
+
+def _switched(g):
+    """``g`` with its first pair of flags (p, l), (q, m) replaced by (p, m)
+    and (q, l): every point and line keeps its degree, and the Fano plane
+    and GQ(2,2) lose their axioms."""
+    pairs = [(a, b) if g.type_of[a] == 1 else (b, a) for a, b in g.incidence_pairs()]
+    present = set(pairs)
+    (p, l), (q, m) = next(
+        (x, y) for x, y in combinations(pairs, 2)
+        if (x[0], y[1]) not in present and (y[0], x[1]) not in present
+    )
+    pairs = [pair for pair in pairs if pair not in ((p, l), (q, m))] + [(p, m), (q, l)]
+    return Geometry(2, [(e, g.type_of[e]) for e in g.elements], pairs)
+
+
+@lru_cache(maxsize=None)
+def _rank2_pieces():
+    """Rank-2 geometries whose residues the diagram names, a digon, and
+    the Fano plane and GQ(2,2) with one pair of flags switched."""
+    digon = Geometry(2, [("p", 1), ("q", 1), ("L", 2), ("M", 2), ("N", 2)],
+                     [(p, l) for p in "pq" for l in "LMN"])
+    named = (
+        build.projective_geometry_2(3).geometry,
+        build.symplectic_polar_space(2).geometry,
+        build.petersen_geometry().geometry,
+        digon,
+    )
+    return named + (_switched(named[0]), _switched(named[1]))
+
+
+@st.composite
+def _typed_systems(draw):
+    """Random incidence systems of rank 1-4.  Types 1 and 2 may carry a
+    named rank-2 geometry; each higher-type element is incident to all of
+    it (its residue is that geometry) or to a random part, which mixes
+    rank-2 classes.  Other pairs of types meet at a drawn density, so
+    many systems miss a type in a maximal flag, and a doubled system has
+    a disconnected whole."""
+    rank = draw(st.integers(1, 4))
+    rnd = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.3, 0.6, 0.9, 1.0]))
+    piece = draw(st.sampled_from((None,) + _rank2_pieces())) if rank >= 2 else None
+    elements, incidences = [], []
+    if piece is not None:
+        elements += [(("b", e), piece.type_of[e]) for e in piece.elements]
+        incidences += [(("b", a), ("b", b)) for a, b in piece.incidence_pairs()]
+    ids = draw(st.lists(_IDS, unique_by=_json_name, max_size=10))
+    first = 1 if piece is None else 3
+    if first <= rank:
+        elements += [(e, rnd.randint(first, rank)) for e in ids]
+    free = [(e, t) for e, t in elements if piece is None or t >= 3]
+    for i, (a, ta) in enumerate(free):
+        if piece is not None:
+            whole = rnd.random() < 0.5
+            incidences += [(a, e) for e, t in elements[: piece.size]
+                           if whole or rnd.random() < density]
+        incidences += [(a, b) for b, tb in free[i + 1 :] if ta != tb and rnd.random() < density]
+    if draw(st.integers(0, 3)) == 0:
+        elements = [((c, e), t) for c in "xy" for e, t in elements]
+        incidences = [((c, a), (c, b)) for c in "xy" for a, b in incidences]
+    return Geometry(rank, elements, incidences)
+
+
+def _merged(g, rnd):
+    """A surjective morphism from ``g`` that sends the elements of each
+    type onto a random number of classes; the target's incidences are the
+    images of ``g``'s, often with one more."""
+    image = {}
+    for t in range(1, g.rank + 1):
+        members = g.elements_of_type(t)
+        k = rnd.choice([len(members), rnd.randint(1, len(members))]) if members else 0
+        image.update((e, ("c", t, rnd.randrange(k))) for e in members)
+    targets = sorted(set(image.values()), key=label_key)
+    pairs = {(image[a], image[b]) for a, b in g.incidence_pairs()}
+    if targets and rnd.random() < 0.5:
+        a, b = rnd.choice(targets), rnd.choice(targets)
+        if a[1] != b[1]:
+            pairs.add((a, b))
+    target = Geometry(g.rank, [(e, e[1]) for e in targets], pairs)
+    return GeometryMorphism(g, target, image)
+
+
+class TestFlagWalkOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(g=_typed_systems(), limit=st.integers(0, 4))
+    def test_walk_matches_frozenset_walk(self, g, limit):
+        def record(walk):
+            seen = []
+            walk(lambda flag, cands: seen.append((flag, cands)))
+            return seen
+
+        assert record(lambda v: g.walk_flags(v, max_size=limit)) == record(
+            lambda v: walk_flags_by_frozensets(g, v, limit)
+        )
+        assert g.maximal_flags() == maximal_flags_by_frozensets(g)
+        assert is_geometry(g).failures == axiom_failures_by_frozensets(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=_typed_systems())
+    def test_diagram_matches_frozenset_diagram(self, g):
+        def report(classify):
+            try:
+                return classify(g)
+            except GeometryError as exc:
+                return str(exc)
+
+        assert report(diagram) == report(diagram_by_frozensets)
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=_typed_systems(), rnd=st.randoms(use_true_random=False))
+    def test_s_covering_matches_residues(self, g, rnd):
+        assume(g.rank >= 2)
+        f = _merged(g, rnd)
+        for s in range(1, g.rank):
+            assert is_s_covering(f, s) == s_covering_by_residues(f, s)
+
+    def test_systems_cover_every_outcome(self):
+        # the strategy reaches both axiom failures and several named classes
+        def outcome(g):
+            failures = is_geometry(g).failures
+            # the first word of the failure, or the classes of the diagram
+            return {failures[0].split()[0]} if failures else set(diagram(g).edges.values())
+
+        for wanted in ({"maximal"}, {"residue"}, {"projective-plane-2", "digon"}, {"gq-2-2"}, {"petersen-edge"}):
+            find(
+                _typed_systems(),
+                lambda g: wanted <= outcome(g),
+                settings=settings(max_examples=2000, database=None, suppress_health_check=list(HealthCheck)),
+            )
+
+    def test_masks_are_built_on_the_first_walk(self):
+        # sp with n = 1 runs element_action, as the unwalked n = 4 build does
+        g = build.symplectic_polar_space(1).geometry
+        g.incidence_pairs()
+        g.to_json()
+        residue(g, [g.elements[0]])
+        assert "_masks" not in vars(g)
+        assert is_geometry(g).ok
+        assert "_masks" in vars(g)

@@ -1,5 +1,6 @@
 """GF(2)/GF(3) linear algebra tests against a schoolbook eliminator."""
 
+import warnings
 from itertools import combinations
 from math import comb
 
@@ -245,6 +246,34 @@ class TestInputReduction:
     def test_parse_matrix_rejects_prime_5(self):
         with pytest.raises(ValueError):
             parse_matrix("2 2 5\n0 0 1\n")
+
+    @pytest.mark.parametrize("text", ["2 2 0\n0 0 1\n", "2 2 -2\n0 0 1\n", "0 0 1\n"])
+    def test_parse_matrix_refuses_prime_before_arithmetic(self, text):
+        # a zero prime reached numpy's remainder, which warned of a division
+        # by zero before the ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="prime must be 2 or 3"):
+                parse_matrix(text)
+
+    @pytest.mark.parametrize("text", ["-1 -1 2\n", "-2 3 2\n", "3 -1 3\n0 0 1\n"])
+    def test_parse_matrix_names_a_negative_header(self, text):
+        # numpy's reshape or zeros used to answer with its own message
+        header = text.splitlines()[0]
+        with pytest.raises(ShapeError, match=f"header '{header}' gives a negative dimension"):
+            parse_matrix(text)
+
+    @pytest.mark.parametrize("prime, rows, cols, error, message", [
+        (0, 2, 2, ValueError, "prime must be 2 or 3"),
+        (2, -1, -1, ShapeError, "shape -1x-1 has a negative dimension"),
+        (3, 2, -2, ShapeError, "shape 2x-2 has a negative dimension"),
+        (2, -1, 2, ShapeError, "shape -1x2 has a negative dimension"),
+    ])
+    def test_from_entries_checks_prime_and_shape_first(self, prime, rows, cols, error, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message):
+                MatrixGFp.from_entries(prime, rows, cols, [(0, 0, 1)])
 
     def test_negative_gf3_entries_reduce(self):
         m = MatrixGFp.from_entries(3, 1, 2, [(0, 0, -1), (0, 1, -4)])
