@@ -66,7 +66,6 @@ class ConstructionMetadata:
     action: GroupAction
     o3_generator: Optional[Permutation] = None
     provenance: dict = field(default_factory=dict)
-    natural_vectors: Optional[dict] = None
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +521,6 @@ def tilde_geometry(seed: int) -> ConstructionMetadata:
     if not scalar_group.is_normal_in(group):
         raise ConstructionError("scalar subgroup is not normal in the found group")
 
-    hexacode_vectors = {p: _mask_to_bits(p[0] + 1, 6) for p in points}
     return ConstructionMetadata(
         geometry,
         group,
@@ -534,12 +532,7 @@ def tilde_geometry(seed: int) -> ConstructionMetadata:
             "subspace": list(e_points),
             "passing_orbits": len(passing),
         },
-        natural_vectors=hexacode_vectors,
     )
-
-
-def _mask_to_bits(mask: int, width: int) -> tuple[int, ...]:
-    return tuple((mask >> i) & 1 for i in range(width))
 
 
 # ---------------------------------------------------------------------------

@@ -192,15 +192,6 @@ class EnumerationOutcome:
             return {"status": "completed", "index": self.index}
         return {"status": "overflow", "limit": self.limit}
 
-    def coset_permutations(self) -> list[list[int]]:
-        """One permutation of the cosets per generator."""
-        if not self.completed:
-            raise ValueError("no table: enumeration overflowed")
-        return [
-            [self.table[c][_column(g + 1)] for c in range(self.index)]
-            for g in range(len(self.generators))
-        ]
-
 
 class _Overflow(Exception):
     pass

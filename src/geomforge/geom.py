@@ -1,7 +1,6 @@
 """Incidence geometries: axiom verification, residues, diagrams with rank-2
 residue classification, flag transitivity, collinearity and derived graphs,
-truncations, quotients, s-covering checks, small-scale isomorphism and
-amalgam reports.
+quotients, s-covering checks, small-scale isomorphism and amalgam reports.
 
 Elements carry a type in 1..rank; two incident elements never share a type.
 Ids may be ints, strings or nested tuples.  The constructor orders the
@@ -46,7 +45,6 @@ __all__ = [
     "is_flag_transitive",
     "collinearity_graph",
     "derived_graph",
-    "truncation",
     "quotient_by_action",
     "is_s_covering",
     "isomorphic",
@@ -123,7 +121,7 @@ class Geometry:
         self._adj = {e: frozenset(s) for e, s in adj.items()}
         self._order = {e: i for i, e in enumerate(self.elements)}
         self._pairs: Optional[list[tuple]] = None
-        # renumbering provenance for residues/truncations (original -> new)
+        # renumbering provenance for residues (original -> new)
         self.type_map = dict(type_map) if type_map else None
 
     # -- basic queries -------------------------------------------------------
@@ -336,7 +334,7 @@ def _connected(pencils: list[int], subset: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# residues and truncations
+# residues
 
 
 def residue(g: Geometry, flag: Iterable) -> Geometry:
@@ -362,28 +360,6 @@ def residue(g: Geometry, flag: Iterable) -> Geometry:
     ]
     return Geometry(
         new_rank,
-        [(e, type_map[g.type_of[e]]) for e in members],
-        incidences,
-        type_map=type_map,
-    )
-
-
-def truncation(g: Geometry, keep: Iterable[int]) -> Geometry:
-    """Induced system on the elements whose type is kept, types renumbered."""
-    keep = sorted(set(keep))
-    if not keep:
-        raise ValueError("truncation requires a nonempty type set")
-    for t in keep:
-        if not 1 <= t <= g.rank:
-            raise ValueError(f"type {t} outside 1..{g.rank}")
-    type_map = {t: i + 1 for i, t in enumerate(keep)}
-    members = [e for e in g.elements if g.type_of[e] in type_map]
-    member_set = set(members)
-    incidences = [
-        (a, b) for a, b in g.incidence_pairs() if a in member_set and b in member_set
-    ]
-    return Geometry(
-        len(keep),
         [(e, type_map[g.type_of[e]]) for e in members],
         incidences,
         type_map=type_map,
@@ -624,16 +600,6 @@ class GeometryMorphism:
 
     def is_surjective(self) -> bool:
         return set(self.mapping.values()) == set(self.target.elements)
-
-    def compose(self, other: "GeometryMorphism") -> "GeometryMorphism":
-        """self after other (other.source -> self.target)."""
-        if other.target is not self.source and other.target.elements != self.source.elements:
-            raise MorphismError("composition mismatch")
-        return GeometryMorphism(
-            other.source,
-            self.target,
-            {e: self.mapping[other.mapping[e]] for e in other.source.elements},
-        )
 
 
 def quotient_by_action(g: Geometry, action: GroupAction) -> tuple[Geometry, GeometryMorphism]:

@@ -48,8 +48,6 @@ __all__ = [
     "MatrixGFp",
     "ShapeError",
     "solve",
-    "image_kernel",
-    "load_matrix",
     "parse_matrix",
     "dump_matrix",
 ]
@@ -66,6 +64,11 @@ _BLOCK = 8  # GF(2) columns cleared per table gather; divides 64, so a block sit
 _LOW = (1 << _BLOCK) - 1
 # [q, v]: bit q of the block value v
 _BIT_ROWS = np.array([[v >> q & 1 for v in range(1 << _BLOCK)] for q in range(_BLOCK)])
+
+
+def _check_shape(rows: int, cols: int) -> None:
+    if rows < 0 or cols < 0:
+        raise ShapeError(f"shape {rows}x{cols} has a negative dimension")
 
 
 def _residues(vector: Sequence[int], prime: int) -> np.ndarray:
@@ -137,10 +140,12 @@ class MatrixGFp:
 
     @classmethod
     def zeros(cls, prime: int, rows: int, cols: int) -> "MatrixGFp":
+        _check_shape(rows, cols)
         return cls._from_dense(prime, np.zeros((rows, cols), dtype=np.uint8))
 
     @classmethod
     def identity(cls, prime: int, n: int) -> "MatrixGFp":
+        _check_shape(n, n)
         return cls._from_dense(prime, np.eye(n, dtype=np.uint8))
 
     @classmethod
@@ -177,8 +182,7 @@ class MatrixGFp:
         arithmetic."""
         if prime not in (2, 3):
             raise ValueError("prime must be 2 or 3")
-        if rows < 0 or cols < 0:
-            raise ShapeError(f"shape {rows}x{cols} has a negative dimension")
+        _check_shape(rows, cols)
         listed = [(r, c, v) for r, c, v in entries]
         triples = np.array(listed, dtype=None if listed else np.int64).reshape(-1, 3)
         if triples.dtype.kind not in "biu":
@@ -216,18 +220,6 @@ class MatrixGFp:
 
     def transpose(self) -> "MatrixGFp":
         return MatrixGFp._from_dense(self.prime, self._dense().T)
-
-    def stack(self, other: "MatrixGFp") -> "MatrixGFp":
-        if other.cols != self.cols or other.prime != self.prime:
-            raise ShapeError("stack requires equal widths and primes")
-        payload = np.vstack([self._payload, other._payload])
-        return MatrixGFp(self.prime, self.rows + other.rows, self.cols, payload)
-
-    def mul(self, other: "MatrixGFp") -> "MatrixGFp":
-        if self.cols != other.rows or self.prime != other.prime:
-            raise ShapeError("incompatible shapes for multiplication")
-        prod = self._dense().astype(np.int64) @ other._dense().astype(np.int64)
-        return MatrixGFp._from_dense(self.prime, (prod % self.prime).astype(np.uint8))
 
     def apply(self, vector: Sequence[int]) -> list[int]:
         """Matrix-vector product M @ v."""
@@ -413,42 +405,34 @@ def solve(matrix: MatrixGFp, b: Sequence[int]) -> Optional[list[int]]:
     return x.tolist()
 
 
-def image_kernel(matrix: MatrixGFp) -> tuple[MatrixGFp, MatrixGFp]:
-    """Kernel and image (column space) bases of a square matrix, both in
-    canonical echelon form; dimensions add up to the column count."""
-    if matrix.rows != matrix.cols:
-        raise ShapeError("image_kernel requires a square matrix")
-    kernel = matrix.nullspace()
-    image = matrix.transpose().row_space()
-    return kernel, image
-
-
 # ---------------------------------------------------------------------------
 # coordinate text exchange format: "rows cols prime" then "r c v" per entry
-
-
-def load_matrix(path) -> MatrixGFp:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix(fh.read())
 
 
 def parse_matrix(text: str) -> MatrixGFp:
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise ShapeError("empty matrix file")
-    head = lines[0].split()
+    head = _integer_fields(lines[0])
     if len(head) != 3:
         raise ShapeError("header must be 'rows cols prime'")
-    rows, cols, prime = (int(x) for x in head)
+    rows, cols, prime = head
     if rows < 0 or cols < 0:
         raise ShapeError(f"header {lines[0]!r} gives a negative dimension")
     entries = []
     for ln in lines[1:]:
-        parts = ln.split()
+        parts = _integer_fields(ln)
         if len(parts) != 3:
             raise ShapeError(f"bad coordinate line: {ln!r}")
-        entries.append((int(parts[0]), int(parts[1]), int(parts[2])))
+        entries.append(parts)
     return MatrixGFp.from_entries(prime, rows, cols, entries)
+
+
+def _integer_fields(line: str) -> list[int]:
+    try:
+        return [int(x) for x in line.split()]
+    except ValueError:
+        raise ShapeError(f"non-integer field in line {line!r}") from None
 
 
 def dump_matrix(matrix: MatrixGFp) -> str:

@@ -10,7 +10,6 @@ from .perm import _closure, label_key
 __all__ = [
     "Graph",
     "graph_isomorphism",
-    "petersen_graph",
 ]
 
 
@@ -52,10 +51,6 @@ class Graph:
     def num_edges(self) -> int:
         return sum(len(ns) for ns in self._adj.values()) // 2
 
-    def is_regular(self) -> Optional[int]:
-        degrees = {self.degree(v) for v in self.vertices}
-        return degrees.pop() if len(degrees) == 1 else None
-
     def is_connected(self) -> bool:
         if not self.vertices:
             return True
@@ -84,14 +79,6 @@ class Graph:
             (v for v, d in self.distances(center).items() if d <= radius),
             key=self._index.__getitem__,
         )
-
-    def induced(self, subset: Iterable) -> "Graph":
-        subset = set(subset)
-        for v in subset:
-            if v not in self._index:
-                raise ValueError(f"vertex {v!r} not in graph")
-        edges = [(a, b) for a, b in self.edges() if a in subset and b in subset]
-        return Graph(subset, edges)
 
     def triangles(self) -> list[tuple]:
         """All 3-cliques, each as a canonically sorted triple."""
@@ -243,17 +230,3 @@ def _search_order(graph: Graph, colors: dict) -> list:
         placed.add(best)
         remaining.discard(best)
     return order
-
-
-def petersen_graph() -> Graph:
-    """Kneser model: vertices are 2-subsets of {0..4}, disjoint pairs adjacent."""
-    from itertools import combinations
-
-    verts = [tuple(sorted(c)) for c in combinations(range(5), 2)]
-    edges = [
-        (a, b)
-        for i, a in enumerate(verts)
-        for b in verts[i + 1 :]
-        if not set(a) & set(b)
-    ]
-    return Graph(verts, edges)

@@ -1,8 +1,7 @@
-"""Local analysis of geometries through their derived graphs: the induced
-subgraphs attached to lower-type elements, the projective-space structure of
-the subgraphs through a vertex, kernel series of vertex stabilizers, the
-order-at-most-2 kernel condition, graph girth and the girth-5 hypothesis
-checker."""
+"""Local analysis of geometries through their derived graphs: the
+projective-space structure of the subgraphs through a vertex, kernel series
+of vertex stabilizers, the order-at-most-2 kernel condition, graph girth and
+the girth-5 hypothesis checker."""
 
 from __future__ import annotations
 
@@ -22,7 +21,6 @@ from .perm import (
 )
 
 __all__ = [
-    "sigma_subgraph",
     "LocalSpaceVerdict",
     "local_space_check",
     "KernelSeriesReport",
@@ -31,18 +29,6 @@ __all__ = [
     "Hypothesis61Report",
     "hypothesis_61_check",
 ]
-
-
-def sigma_subgraph(g: Geometry, y) -> Graph:
-    """Subgraph of the derived graph induced by the top-type elements
-    incident to y (an element of type below the rank)."""
-    if y not in g.type_of:
-        raise GeometryError(f"unknown element {y!r}")
-    if g.type_of[y] >= g.rank:
-        raise ValueError(f"element {y!r} has top type {g.rank}")
-    delta = derived_graph(g)
-    members = [e for e in g.pencil(y) if g.type_of[e] == g.rank]
-    return delta.induced(members)
 
 
 @dataclass

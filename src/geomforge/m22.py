@@ -26,7 +26,6 @@ from .build import (
     _apply_points,
     _basis_of,
     _certified_action,
-    _mask_to_bits,
     _span,
     subgroup_pattern_geometry,
 )
@@ -264,7 +263,6 @@ def build_m22_geometry(seed: int) -> ConstructionMetadata:
     counts = [len(geometry.elements_of_type(t)) for t in (1, 2, 3)]
     if counts != [231, 1155, 330]:
         raise ConstructionError(f"M22 geometry counts {counts}")
-    vectors = {p: _mask_to_bits(p[0] + 1, 11) for p in geometry.elements_of_type(1)}
     return ConstructionMetadata(
         geometry,
         module_group,
@@ -275,5 +273,4 @@ def build_m22_geometry(seed: int) -> ConstructionMetadata:
             "duad": list(DUAD),
             "subspace": list(e_points),
         },
-        natural_vectors=vectors,
     )

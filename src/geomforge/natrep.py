@@ -1,6 +1,5 @@
 """Universal natural representations over GF(2): line relation systems,
-universal module dimensions, the O3 commutant/centralizer split, and
-verification of concrete natural representations.
+universal module dimensions and the O3 commutant/centralizer split.
 
 All geometries handled here are of GF(2)-type: every line carries exactly
 three points, and the universal module UM is GF(2)^points modulo the span R
@@ -17,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .build import ConstructionMetadata, _basis_of, _span, _subspace_dim, _subspaces
+from .build import ConstructionMetadata, _basis_of
 from .geom import Geometry, GeometryError
 
 if TYPE_CHECKING:
@@ -26,11 +25,9 @@ if TYPE_CHECKING:
 __all__ = [
     "NatRepResult",
     "NotGF2TypeError",
-    "RepresentationVerdict",
     "relation_matrix",
     "um_dimension",
     "o3_split_dims",
-    "verify_natural_representation",
 ]
 
 
@@ -127,82 +124,3 @@ def _point_permutation(meta: ConstructionMetadata, point_index: dict) -> list[in
         raise ValueError("the O3 generator is not a generator of the construction's action")
     gen_pos = generators.index(meta.o3_generator)
     return [point_index[action.apply(gen_pos, p)] for p in point_index]
-
-
-@dataclass
-class RepresentationVerdict:
-    ok: bool
-    span_dim: int
-    failures: list[str]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_natural_representation(g: Geometry, assignment: dict) -> RepresentationVerdict:
-    """Check a point -> vector assignment against the natural-representation
-    conditions: line relations hold, each type-i element spans an i-space,
-    and the residue-to-subspace maps are bijections."""
-    points = g.elements_of_type(1)
-    failures: list[str] = []
-    width = None
-    for p in points:
-        if p not in assignment:
-            raise ValueError(f"point {p!r} has no assigned vector")
-        vec = tuple(int(b) % 2 for b in assignment[p])
-        if width is None:
-            width = len(vec)
-        elif len(vec) != width:
-            raise ValueError("assigned vectors have mixed lengths")
-        if not any(vec):
-            failures.append(f"point {p!r} is assigned the zero vector")
-    masks = {p: _bits_to_mask(assignment[p]) for p in points}
-
-    for line, pts in _lines_with_points(g):
-        total = 0
-        for p in pts:
-            total ^= masks[p]
-        if total != 0:
-            failures.append(f"line {line!r} violates v_a + v_b + v_c = 0")
-
-    span_cache: dict = {}
-    for x in g.elements:
-        span_cache[x] = _span(
-            [masks[p] for p in _residue_points(g, x)]
-        )
-    for x in g.elements:
-        i = g.type_of[x]
-        dim = _subspace_dim(span_cache[x])
-        if dim != i:
-            failures.append(
-                f"element {x!r} of type {i} spans dimension {dim}"
-            )
-            continue
-        for j in range(1, i):
-            res_j = [
-                y
-                for y in g.pencil(x)
-                if g.type_of[y] == j
-            ]
-            images = {span_cache[y] for y in res_j}
-            if len(images) != len(res_j) or images != set(_subspaces(span_cache[x], j)):
-                failures.append(
-                    f"element {x!r}: type-{j} residue does not map "
-                    f"bijectively onto the {j}-subspaces of its span"
-                )
-    overall = _span([masks[p] for p in points])
-    return RepresentationVerdict(not failures, _subspace_dim(overall), failures)
-
-
-def _residue_points(g: Geometry, x):
-    if g.type_of[x] == 1:
-        return [x]
-    return [p for p in g.pencil(x) if g.type_of[p] == 1]
-
-
-def _bits_to_mask(bits) -> int:
-    mask = 0
-    for i, b in enumerate(bits):
-        if int(b) % 2:
-            mask |= 1 << i
-    return mask

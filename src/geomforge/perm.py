@@ -29,7 +29,6 @@ __all__ = [
     "induced_action",
     "label_key",
     "load_group",
-    "save_group",
 ]
 
 ELEMENT_ENUMERATION_BOUND = 200_000
@@ -574,15 +573,6 @@ class PermutationGroup:
     def is_subgroup_of(self, other: "PermutationGroup") -> bool:
         return all(other.contains(g) for g in self.generators)
 
-    def equals(self, other: "PermutationGroup") -> bool:
-        return (
-            self.order() == other.order()
-            and self.is_subgroup_of(other)
-        )
-
-    def random_element(self, rng: Random) -> Permutation:
-        return self.chain().sample(rng)
-
     def elements(self, bound: int = ELEMENT_ENUMERATION_BOUND) -> list[Permutation]:
         """All elements by breadth-first closure; capacity-limited."""
         if self.order() > bound:
@@ -777,11 +767,6 @@ def induced_action(group: PermutationGroup, domain: Iterable, apply: Callable) -
     return GroupAction(group, labels, images)
 
 
-def natural_action(group: PermutationGroup) -> GroupAction:
-    """The defining action on 0..degree-1."""
-    return induced_action(group, range(group.degree), lambda g, x: g.images[x])
-
-
 @dataclass
 class SubgroupPredicate:
     """Search target for subgroup_search: an exact order, which must divide
@@ -884,8 +869,3 @@ def group_to_json(group: PermutationGroup) -> dict:
     payload["expected_order"] = group.order()
     return payload
 
-
-def save_group(group: PermutationGroup, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(group_to_json(group), fh, indent=1, sort_keys=True)
-        fh.write("\n")

@@ -101,7 +101,8 @@ def o3_split_by_matrices(g, meta):
     This is ``geomforge.natrep.o3_split_dims`` before it read the split off
     bit-mask ranks, moved here as its reference.  Here the point permutation
     is read off the action, the nullspace is the two-elimination one, and
-    the row of T at a fixed point is zero, where the library's was e_p."""
+    the row of T at a fixed point is zero, where the library's was e_p.
+    Products and stacks are taken with numpy on ``dense`` entries."""
     from geomforge.gf2 import MatrixGFp
 
     points = g.elements_of_type(1)
@@ -119,9 +120,15 @@ def o3_split_by_matrices(g, meta):
     t_entries = [(p, p, 1) for p in range(n)] + [(p, perm[p], 1) for p in range(n)]
     t_matrix = MatrixGFp.from_entries(2, n, n, t_entries)
     annihilator = nullspace_by_two_eliminations(row_basis)  # x in R iff N x = 0
-    centralizer = n - annihilator.mul(t_matrix.transpose()).rank() - rank
-    commutant = t_matrix.stack(row_basis).rank() - rank
+    centralizer = n - MatrixGFp.from_rows(2, dense(annihilator) @ dense(t_matrix).T).rank() - rank
+    commutant = MatrixGFp.from_rows(2, np.vstack([dense(t_matrix), dense(row_basis)])).rank() - rank
     return commutant, centralizer
+
+
+def dense(matrix):
+    """The entries of a ``MatrixGFp`` as a (rows, cols) int64 array, for
+    products and stacks computed with numpy."""
+    return np.array(matrix.to_rows(), dtype=np.int64).reshape(matrix.rows, matrix.cols)
 
 
 def accumulate_entries(prime, rows, cols, entries):
@@ -282,7 +289,10 @@ def minimal_normal_by_enumeration(generators):
                     marked.add(conj_key)
                     queue.append(conj)
         closure = group.normal_closure([x])
-        if not any(closure.equals(other) for other in closures):
+        if not any(
+            closure.order() == other.order() and closure.is_subgroup_of(other)
+            for other in closures
+        ):
             closures.append(closure)
     minimal = [
         n for n in closures

@@ -26,7 +26,7 @@ from geomforge.geom import (
     residue,
 )
 from geomforge.gf2 import MatrixGFp
-from geomforge.graphs import Graph, petersen_graph
+from geomforge.graphs import Graph
 from geomforge.perm import PermutationGroup, induced_action
 from oracles import naive_rank
 
@@ -96,11 +96,8 @@ def test_criterion_03_classical_geometries(fano):
         gq_matrix = natrep.relation_matrix(sp2.geometry)
         assert natrep.um_dimension(sp2.geometry).total_dim == 5
         assert gq_matrix.rank() == naive_rank(gq_matrix.to_rows(), 2)
-        from geomforge.geom import truncation
-
-        fano_trunc = truncation(fano.geometry, [1, 2])
-        fano_matrix = natrep.relation_matrix(fano_trunc)
-        assert natrep.um_dimension(fano_trunc).total_dim == 3
+        fano_matrix = natrep.relation_matrix(fano.geometry)
+        assert natrep.um_dimension(fano.geometry).total_dim == 3
         assert fano_matrix.rank() == naive_rank(fano_matrix.to_rows(), 2)
 
 
@@ -112,9 +109,9 @@ def test_criterion_04_local_analysis(p0, t0):
         assert local.condition_star(t0) is True
 
 
-def test_criterion_05_girth5_hypothesis():
+def test_criterion_05_girth5_hypothesis(p0):
     with deadline("5 (girth-5 hypothesis)", 5.0):
-        graph = petersen_graph()
+        graph = derived_graph(p0.geometry)
         s5 = PermutationGroup.symmetric(5)
         action = induced_action(
             s5, graph.vertices, lambda g, v: tuple(sorted(g.images[x] for x in v))
@@ -145,7 +142,7 @@ def test_criterion_06_coset_enumeration():
             assert todd_coxeter(Presentation.from_strings(["a", "b"], relators)).index == 60
 
 
-def test_criterion_07_triangulability(gq22):
+def test_criterion_07_triangulability(p0, gq22):
     with deadline("7 (triangulability)", 5.0):
         k4 = Graph(range(4), list(combinations(range(4), 2)))
         k4_complex = TriangleComplex(k4, tuple(k4.triangles()))
@@ -155,7 +152,7 @@ def test_criterion_07_triangulability(gq22):
         verdict = cover.is_triangulable(c5)
         assert verdict == "no" and "rank 1" in verdict.reason
 
-        pet = TriangleComplex(petersen_graph())
+        pet = TriangleComplex(derived_graph(p0.geometry))
         verdict = cover.is_triangulable(pet)
         assert verdict == "no" and "rank 6" in verdict.reason
 

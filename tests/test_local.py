@@ -1,5 +1,5 @@
-"""Local analysis tests: sigma subgraphs, the projective-space structure of
-vertex stars, kernel series, condition (*), girth and the girth-5 check."""
+"""Local analysis tests: the projective-space structure of vertex stars,
+kernel series, condition (*), girth and the girth-5 check."""
 
 import time
 from functools import lru_cache
@@ -10,33 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomforge import build, local
-from geomforge.geom import GeometryError, derived_graph, residue
-from geomforge.graphs import Graph, girth, graph_isomorphism, petersen_graph
+from geomforge.geom import GeometryError, derived_graph
+from geomforge.graphs import Graph, girth
 from geomforge.perm import Permutation, PermutationGroup, induced_action, label_key
 from oracles import bfs_girth, minimal_normal_by_enumeration
-
-
-class TestSigmaSubgraph:
-    def test_t0_point_gives_3_clique(self, t0):
-        point = t0.geometry.elements_of_type(1)[0]
-        subgraph = local.sigma_subgraph(t0.geometry, point)
-        assert subgraph.n == 3 and subgraph.num_edges == 3
-
-    def test_p0_edge_gives_single_edge(self, p0):
-        edge = p0.geometry.elements_of_type(1)[0]
-        subgraph = local.sigma_subgraph(p0.geometry, edge)
-        assert subgraph.n == 2 and subgraph.num_edges == 1
-
-    def test_c3_point_gives_residue_derived_graph(self, sp3):
-        point = sp3.geometry.elements_of_type(1)[0]
-        subgraph = local.sigma_subgraph(sp3.geometry, point)
-        res = residue(sp3.geometry, [point])
-        assert graph_isomorphism(subgraph, derived_graph(res)) is not None
-
-    def test_top_type_rejected(self, p0):
-        vertex = p0.geometry.elements_of_type(2)[0]
-        with pytest.raises(ValueError):
-            local.sigma_subgraph(p0.geometry, vertex)
 
 
 class TestLocalSpace:
@@ -168,8 +145,8 @@ class TestConditionStar:
 
 
 class TestGirth:
-    def test_petersen_5(self):
-        assert girth(petersen_graph()) == 5
+    def test_petersen_5(self, p0):
+        assert girth(derived_graph(p0.geometry)) == 5
 
     def test_triangle_3(self):
         assert girth(Graph(range(3), [(0, 1), (1, 2), (0, 2)])) == 3
@@ -304,8 +281,8 @@ class TestOrbitVerdicts:
             name not in ("K2+K3-intransitive", "edgeless-S4")
         )
 
-    def test_petersen_edges_match_edge_action(self):
-        graph = petersen_graph()
+    def test_petersen_edges_match_edge_action(self, p0):
+        graph = derived_graph(p0.geometry)
         action = induced_action(
             PermutationGroup.symmetric(5),
             graph.vertices,
@@ -317,7 +294,7 @@ class TestOrbitVerdicts:
 
 class TestHypothesis61:
     def test_petersen_s5_fails_only_on_regular_normal_subgroup(self, p0):
-        graph = petersen_graph()
+        graph = derived_graph(p0.geometry)
         s5 = PermutationGroup.symmetric(5)
         action = induced_action(
             s5, graph.vertices, lambda g, v: tuple(sorted(g.images[x] for x in v))
