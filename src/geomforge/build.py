@@ -16,11 +16,12 @@ from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .geom import (
+    GQ_2_2,
     CapacityError,
     Geometry,
+    diagram,
     element_action,
     is_geometry,
-    isomorphic,
     quotient_by_action,
     is_s_covering,
     _one_flag_orbit,
@@ -511,8 +512,8 @@ def tilde_geometry(seed: int) -> ConstructionMetadata:
     q_verdict = is_geometry(quotient)
     if not q_verdict.ok:
         raise ConstructionError(f"tilde quotient fails axioms: {q_verdict.failures}")
-    gq = symplectic_polar_space(2)
-    if isomorphic(quotient, gq.geometry) is None:
+    # GQ(2,2) is unique, so the diagram's count names it
+    if diagram(quotient).edge(1, 2) != GQ_2_2:
         raise ConstructionError("tilde quotient is not isomorphic to GQ(2,2)")
     if not is_s_covering(morphism, 1):
         raise ConstructionError("tilde quotient map is not a 1-covering")

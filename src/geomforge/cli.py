@@ -271,7 +271,7 @@ def _cmd_bench(args):
     # imported on use, as numpy loads with it: most commands build no matrix
     import numpy as np
 
-    from .gf2 import MatrixGFp
+    from .gf2 import MatrixGFp, _check_shape
 
     sizes = [int(s) for s in args.sizes.split(",") if s] if args.sizes else []
     inputs = {"sizes": sizes, "seed": args.seed}
@@ -280,6 +280,8 @@ def _cmd_bench(args):
     for size in sizes:
         if size <= 0:
             raise ValueError("sizes must be positive")
+        # the matrix's capacity bound, before the draw allocates it
+        _check_shape(size, size)
         dense = rng.integers(0, 2, size=(size, size), dtype=np.uint8)
         matrix = MatrixGFp.from_rows(2, dense)
         started = time.monotonic()

@@ -13,14 +13,15 @@ walk and keeps them (about N^2/8 bytes; an unwalked geometry holds none).
 Children are visited in increasing index, which is canonical order, so the
 walk order and the first failure reported are those of the labels.  Labels
 appear only in failure strings, returned flags, ``walk_flags`` and the
-residues that the isomorphism tests build.
+geometries that ``residue`` builds; ``diagram`` names every rank-2 residue
+by counting on the masks, with no residue built.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations, groupby
 from typing import Iterable, Optional, Sequence
 
@@ -496,7 +497,7 @@ def diagram(g: Geometry) -> DiagramReport:
             # two classes already make the edge unknown
             if len(classes[missing]) < 2:
                 points = cands & by_type[missing[0]]
-                found = _classify_rank2(g, flag, points, cands ^ points)
+                found = _classify_rank2(g, points, cands ^ points)
                 classes[missing].add(found)
                 # each named class is a connected rank-2 geometry
                 return found != UNKNOWN
@@ -510,11 +511,17 @@ def diagram(g: Geometry) -> DiagramReport:
     return DiagramReport(g.rank, edges, orders)
 
 
-def _classify_rank2(g: Geometry, flag: tuple, points: int, lines: int) -> str:
-    """Class of the rank-2 residue of the index tuple ``flag``, whose
-    elements of the lower missing type are the mask ``points`` and the
-    others the mask ``lines``, read off the pencil masks of ``g``.  Only
-    the isomorphism tests build the residue."""
+def _classify_rank2(g: Geometry, points: int, lines: int) -> str:
+    """Class of a rank-2 residue whose elements of the lower missing type
+    are the mask ``points`` and the others the mask ``lines``, read off the
+    pencil masks of ``g``: every class is named by counting.  The (15, 10)
+    and (45, 45) classes rest on two uniqueness theorems.  The Petersen
+    graph is the unique Moore graph of degree 3 and diameter 2 (Hoffman
+    and Singleton, 1960); the lower type is its edges, as in
+    ``build.petersen_geometry``.  The Foster graph, the incidence graph of
+    the rank-2 tilde geometry, is the only cubic distance-regular graph
+    with its intersection array (Biggs, Boshier and Shawe-Taylor, 1986;
+    Brouwer, Cohen and Neumaier, 1989, section 7.5)."""
     if not points or not lines:
         return UNKNOWN
     pencils = g._masks[0]
@@ -522,8 +529,8 @@ def _classify_rank2(g: Geometry, flag: tuple, points: int, lines: int) -> str:
     if all(through == lines for through in on_point):
         return DIGON
     counts = (len(on_point), lines.bit_count())
+    on_line = {l: pencils[l] & points for l in _bits(lines)}
     if counts in ((7, 7), (15, 15)):
-        on_line = {l: pencils[l] & points for l in _bits(lines)}
         if all(m.bit_count() == 3 for m in (*on_point, *on_line.values())):
             # Fano: two distinct points lie on exactly one common line
             if counts == (7, 7) and all(
@@ -532,10 +539,9 @@ def _classify_rank2(g: Geometry, flag: tuple, points: int, lines: int) -> str:
                 return PROJECTIVE_PLANE_2
             if counts == (15, 15) and _is_quadrangle(on_point, on_line):
                 return GQ_2_2
-    labels = [g.elements[i] for i in flag]
-    if counts == (15, 10) and _matches_reference(residue(g, labels), "petersen"):
+    if counts == (15, 10) and _is_petersen(pencils, on_point, on_line, lines):
         return PETERSEN_EDGE
-    if counts == (45, 45) and _matches_reference(residue(g, labels), "tilde"):
+    if counts == (45, 45) and _is_foster(pencils, points | lines):
         return TILDE_EDGE
     return UNKNOWN
 
@@ -553,20 +559,55 @@ def _is_quadrangle(on_point: list[int], on_line: dict) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _reference_geometry(kind: str) -> Geometry:
-    # late import: build depends on geom at module level
-    from . import build
+def _is_petersen(pencils: list[int], on_point: list[int], on_line: dict, lines: int) -> bool:
+    """The points are the edges of a cubic simple graph on the lines, of
+    girth at least 5: each point lies on exactly 2 lines, no two on the
+    same 2, and each line carries 3 points; adjacent lines have no common
+    neighbour and others at most one.  With 10 = 1 + 3 + 3*2 lines that
+    graph meets the Moore bound, so it is the Petersen graph."""
+    if (
+        any(m.bit_count() != 2 for m in on_point)
+        or len(set(on_point)) != len(on_point)
+        or any(m.bit_count() != 3 for m in on_line.values())
+    ):
+        return False
+    near = {}
+    for l, edges in on_line.items():
+        ends = 0
+        for p in _bits(edges):
+            ends |= pencils[p]
+        near[l] = ends & lines & ~(1 << l)
+    return all(
+        (near[u] & near[v]).bit_count() <= 1 - (near[u] >> v & 1)
+        for u, v in combinations(near, 2)
+    )
 
-    if kind == "petersen":
-        return build.petersen_geometry().geometry
-    if kind == "tilde":
-        return build.tilde_geometry(seed=0).geometry
-    raise ValueError(f"unknown reference {kind!r}")
+
+# the Foster graph's intersection array {3,2,2,2,2,1,1,1; 1,1,1,1,2,2,2,3}
+# as (b_i, c_i) for each distance i from 0 to its diameter 8
+_FOSTER_ARRAY = tuple(zip((3, 2, 2, 2, 2, 1, 1, 1, 0), (0, 1, 1, 1, 1, 2, 2, 2, 3)))
 
 
-def _matches_reference(res: Geometry, kind: str) -> bool:
-    return isomorphic(res, _reference_geometry(kind)) is not None
+def _is_foster(pencils: list[int], members: int) -> bool:
+    """The incidence graph on the mask ``members`` is distance-regular with
+    the Foster graph's intersection array: a breadth-first search from each
+    element finds, at distance i, c_i neighbours one layer back and b_i one
+    layer on for every element.  The graph is bipartite, so these are all
+    its neighbours; each b_i before the last is positive, so no layer
+    empties while the counts hold."""
+    for source in _bits(members):
+        back, layer, seen = 0, 1 << source, 1 << source
+        for b, c in _FOSTER_ARRAY:
+            ahead = 0
+            for x in _bits(layer):
+                near = pencils[x] & members
+                on = near & ~seen
+                if (near & back).bit_count() != c or on.bit_count() != b:
+                    return False
+                ahead |= on
+            back, layer = layer, ahead
+            seen |= ahead
+    return True
 
 
 # ---------------------------------------------------------------------------

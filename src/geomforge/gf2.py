@@ -44,6 +44,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .perm import CapacityError
+
 __all__ = [
     "MatrixGFp",
     "ShapeError",
@@ -57,6 +59,9 @@ class ShapeError(ValueError):
     """Matrix dimensions do not match the requested operation."""
 
 
+# entries of a matrix built from a shape, each one byte of the dense array:
+# 2 GiB, which admits a 45,360 x 46,305 boundary matrix
+MATRIX_ENTRY_BOUND = 1 << 31
 _ONE = np.uint64(1)
 _PACK_ENTRIES = 1 << 18  # entries per int64 block in ``from_rows``
 _INT64_MAX = np.iinfo(np.int64).max
@@ -69,6 +74,8 @@ _BIT_ROWS = np.array([[v >> q & 1 for v in range(1 << _BLOCK)] for q in range(_B
 def _check_shape(rows: int, cols: int) -> None:
     if rows < 0 or cols < 0:
         raise ShapeError(f"shape {rows}x{cols} has a negative dimension")
+    if rows * cols > MATRIX_ENTRY_BOUND:
+        raise CapacityError(f"shape {rows}x{cols} has more than {MATRIX_ENTRY_BOUND} entries")
 
 
 def _residues(vector: Sequence[int], prime: int) -> np.ndarray:

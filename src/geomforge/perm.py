@@ -570,9 +570,6 @@ class PermutationGroup:
             return False
         return self.chain().contains(g)
 
-    def is_subgroup_of(self, other: "PermutationGroup") -> bool:
-        return all(other.contains(g) for g in self.generators)
-
     def elements(self, bound: int = ELEMENT_ENUMERATION_BOUND) -> list[Permutation]:
         """All elements by breadth-first closure; capacity-limited."""
         if self.order() > bound:
@@ -857,15 +854,3 @@ def group_from_json(payload: dict) -> PermutationGroup:
         name=payload.get("name"),
         expected_order=payload.get("expected_order"),
     )
-
-
-def group_to_json(group: PermutationGroup) -> dict:
-    payload = {
-        "degree": group.degree,
-        "generators": [list(g.images) for g in group.generators],
-    }
-    if group.name is not None:
-        payload["name"] = group.name
-    payload["expected_order"] = group.order()
-    return payload
-

@@ -5,11 +5,14 @@ algorithms moved here from the library, whose docstrings say so."""
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import prod
 
 import numpy as np
 
+from geomforge import build
+from geomforge.geom import Geometry, isomorphic, residue
 from geomforge.perm import (
     Permutation,
     PermutationGroup,
@@ -290,13 +293,13 @@ def minimal_normal_by_enumeration(generators):
                     queue.append(conj)
         closure = group.normal_closure([x])
         if not any(
-            closure.order() == other.order() and closure.is_subgroup_of(other)
+            closure.order() == other.order() and all(other.contains(g) for g in closure.generators)
             for other in closures
         ):
             closures.append(closure)
     minimal = [
         n for n in closures
-        if not any(m.order() < n.order() and m.is_subgroup_of(n) for m in closures)
+        if not any(m.order() < n.order() and all(n.contains(g) for g in m.generators) for m in closures)
     ]
     return sorted(minimal, key=lambda n: n.order())
 
@@ -615,9 +618,26 @@ def axiom_failures_by_frozensets(g, also=None):
     return missing or disconnected
 
 
-def _rank2_class_by_frozensets(g, flag, points, lines):
-    from geomforge.geom import _matches_reference, residue
+@lru_cache(maxsize=None)
+def _reference_geometry(kind: str) -> Geometry:
+    if kind == "petersen":
+        return build.petersen_geometry().geometry
+    if kind == "tilde":
+        return build.tilde_geometry(seed=0).geometry
+    raise ValueError(f"unknown reference {kind!r}")
 
+
+def _matches_reference(res: Geometry, kind: str) -> bool:
+    return isomorphic(res, _reference_geometry(kind)) is not None
+
+
+def _rank2_class_by_frozensets(g, flag, points, lines):
+    """The class of the rank-2 residue of ``flag``, whose elements of the
+    lower missing type are the frozenset ``points`` and the others
+    ``lines``.  The Petersen and tilde classes are read off an isomorphism
+    search against a reference geometry, as ``geomforge.geom`` did before
+    it named them by counting; ``_reference_geometry`` and
+    ``_matches_reference`` moved here with that path as its reference."""
     if not points or not lines:
         return "unknown"
     if all(lines <= g.pencil(p) for p in points):

@@ -403,6 +403,12 @@ class TestCommands:
         assert len(table) == 1 and table[0]["size"] == 100
         assert table[0]["rank"] >= 90
 
+    def test_bench_refuses_a_size_above_the_matrix_bound(self, capsys):
+        # the draw raised numpy's MemoryError, a traceback with exit 1
+        code, report = run_cli(capsys, "bench", "--sizes", "99999999", "--seed", "9")
+        assert (code, report["status"]) == (3, "capacity")
+        assert report["results"]["error"].startswith("shape 99999999x99999999 has more than")
+
     def test_bench_empty(self, capsys):
         code, report = run_cli(capsys, "bench", "--sizes", "", "--seed", "9")
         assert code == 0 and report["results"]["table"] == []

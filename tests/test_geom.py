@@ -7,10 +7,10 @@ from functools import lru_cache
 from itertools import combinations
 
 import pytest
-from hypothesis import HealthCheck, assume, find, given, settings
+from hypothesis import HealthCheck, Phase, assume, find, given, settings
 from hypothesis import strategies as st
 
-from geomforge import build
+from geomforge import build, geom, m22
 from geomforge.geom import (
     ActionError,
     CapacityError,
@@ -20,6 +20,7 @@ from geomforge.geom import (
     GeometryMorphism,
     MorphismError,
     StructureError,
+    _classify_rank2,
     amalgam_report,
     collinearity_graph,
     derived_graph,
@@ -41,6 +42,7 @@ from oracles import (
     diagram_by_frozensets,
     maximal_flags_by_frozensets,
     naive_rank2_class,
+    _rank2_class_by_frozensets,
     s_covering_by_residues,
     walk_flags_by_frozensets,
 )
@@ -386,6 +388,147 @@ class TestDiagramOracle:
         rnd.shuffle(incidences)
         copy = Geometry(base.rank, elements, incidences)
         assert diagram(copy) == diagram(base)
+
+
+def _counted(g):
+    """The class of a rank-2 system as a whole, as the library counts it."""
+    by_type = g._masks[1]
+    return _classify_rank2(g, by_type[1], by_type[2])
+
+
+def _searched(g):
+    """The class of a rank-2 system as a whole, as the oracle searches for
+    it against its reference geometries."""
+    points, lines = (frozenset(g.elements_of_type(t)) for t in (1, 2))
+    return _rank2_class_by_frozensets(g, (), points, lines)
+
+
+_KNESER = list(combinations(range(5), 2))
+# the Petersen graph: 2-subsets of {0..4}, adjacent when disjoint
+_PETERSEN_EDGES = [
+    (i, j) for i, j in combinations(range(10), 2) if not set(_KNESER[i]) & set(_KNESER[j])
+]
+
+
+@st.composite
+def _cubic_systems(draw):
+    """15 + 10 systems from cubic multigraphs on 10 vertices: the
+    configuration model (30 half-edges paired at random, so loops,
+    multiple edges and girth 3 or 4 are common), or the Petersen graph
+    relabelled, perhaps after a few double-edge swaps.  The edges are type
+    1, as in ``build.petersen_geometry``, or type 2; a loop is an edge on
+    one vertex."""
+    rnd = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        halves = [v for v in range(10) for _ in range(3)]
+        rnd.shuffle(halves)
+        edges = [tuple(halves[i : i + 2]) for i in range(0, 30, 2)]
+    else:
+        name = rnd.sample(range(10), 10)
+        edges = [(name[a], name[b]) for a, b in _PETERSEN_EDGES]
+        rnd.shuffle(edges)
+        for _ in range(draw(st.integers(0, 2))):
+            i, j = rnd.sample(range(15), 2)
+            (a, b), (c, d) = edges[i], edges[j]
+            edges[i], edges[j] = (a, c), (b, d)
+    edge_type = draw(st.sampled_from([1, 2]))
+    return Geometry(
+        2,
+        [(("e", i), edge_type) for i in range(15)] + [(("v", v), 3 - edge_type) for v in range(10)],
+        [(("e", i), ("v", v)) for i, ends in enumerate(edges) for v in set(ends)],
+    )
+
+
+@lru_cache(maxsize=None)
+def _gq22_and_tildes():
+    tildes = tuple(build.tilde_geometry(seed).geometry for seed in (0, 42))
+    return build.symplectic_polar_space(2).geometry, tildes
+
+
+@st.composite
+def _gq22_covers(draw):
+    """45 + 45 systems: the 3-fold cover of GQ(2,2)'s incidence graph by
+    Z/3 voltages on its 45 edges, where (v, a) meets (w, a + volt(v, w)),
+    or a tilde build relabelled, with its types kept or swapped.  The
+    voltages are 0 (the trivial cover, three copies), a coboundary
+    f(w) - f(v) (three copies again), or random, sparse or uniform
+    (connected covers).  A cover keeps its labels (v, a): on shuffled
+    labels the oracle's search takes up to a minute."""
+    gq, tildes = _gq22_and_tildes()
+    rnd = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["zero", "coboundary", "sparse", "uniform", "tilde"]))
+    if kind == "tilde":
+        g = draw(st.sampled_from(tildes))
+        swap = draw(st.booleans())
+        name = dict(zip(g.elements, rnd.sample(range(90), 90)))
+        return Geometry(
+            2,
+            [(name[e], 3 - t if swap else t) for e, t in g.type_of.items()],
+            [(name[a], name[b]) for a, b in g.incidence_pairs()],
+        )
+    shift = {e: rnd.randrange(3) for e in gq.elements}
+    incidences = []
+    for v, w in gq.incidence_pairs():
+        volt = {
+            "zero": 0,
+            "coboundary": shift[w] - shift[v],
+            "sparse": rnd.randrange(1, 3) if rnd.random() < 0.2 else 0,
+            "uniform": rnd.randrange(3),
+        }[kind]
+        incidences += [((v, a), (w, (a + volt) % 3)) for a in range(3)]
+    return Geometry(2, [((e, a), gq.type_of[e]) for e in gq.elements for a in range(3)], incidences)
+
+
+class TestCountedClasses:
+    """The Petersen and tilde classes by counting agree with the isomorphism
+    search against the reference geometries."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=_cubic_systems())
+    def test_moore_bound_matches_search(self, g):
+        assert _counted(g) == _searched(g)
+
+    # the oracle's backtracking takes up to a few seconds on a cover
+    @settings(max_examples=15, deadline=None)
+    @given(g=_gq22_covers())
+    def test_foster_array_matches_search(self, g):
+        assert _counted(g) == _searched(g)
+
+    @pytest.mark.parametrize("systems, named", [
+        (_cubic_systems, "petersen-edge"),
+        (_gq22_covers, "tilde-edge"),
+    ])
+    def test_systems_reach_every_outcome(self, systems, named):
+        # the named class, an unknown geometry, and a disconnected system;
+        # the first example found is enough: shrinking a system drawn from
+        # a random stream takes tens of seconds
+        for wanted in ((named, True), ("unknown", True), ("unknown", False)):
+            find(
+                systems(),
+                lambda g: (_counted(g), is_geometry(g).ok) == wanted,
+                settings=settings(max_examples=500, deadline=None, database=None, phases=[Phase.generate],
+                                  suppress_health_check=list(HealthCheck)),
+            )
+
+    def test_named_without_residue_or_search(self, monkeypatch):
+        g = m22.build_m22_geometry(1).geometry
+        t0 = build.tilde_geometry(42).geometry
+        calls = []
+
+        def spy(name, real):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapped
+
+        for module in (geom, build):
+            for name in ("residue", "isomorphic", "graph_isomorphism"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        assert diagram(g).edge(2, 3) == "petersen-edge"
+        assert diagram(t0).edge(1, 2) == "tilde-edge"
+        build.tilde_geometry(42)
+        assert calls == []
 
 
 class TestFlagTransitivity:

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geomforge import gf2
 from geomforge.gf2 import (
+    MATRIX_ENTRY_BOUND,
     MatrixGFp,
     ShapeError,
     dump_matrix,
@@ -19,6 +21,7 @@ from geomforge.gf2 import (
     _PACK_ENTRIES,
 )
 from geomforge.build import _subspaces
+from geomforge.perm import CapacityError
 from oracles import (
     accumulate_entries,
     naive_rank,
@@ -281,6 +284,27 @@ class TestInputReduction:
         # numpy answered with its own "negative dimensions are not allowed"
         with pytest.raises(ShapeError, match=message):
             build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: parse_matrix("99999999 99999999 2"),
+        lambda: MatrixGFp.from_entries(3, 2**16, 2**15 + 1, []),
+        lambda: MatrixGFp.zeros(2, 1, MATRIX_ENTRY_BOUND + 1),
+        lambda: MatrixGFp.identity(2, 2**16),
+    ], ids=["parse", "from_entries", "zeros", "identity"])
+    def test_a_shape_above_the_bound_is_refused(self, build):
+        # numpy answered with its MemoryError ("Unable to allocate 8.88 PiB")
+        with pytest.raises(CapacityError, match=f"more than {MATRIX_ENTRY_BOUND} entries"):
+            build()
+
+    def test_the_bound_is_on_rows_times_cols(self, monkeypatch):
+        monkeypatch.setattr(gf2, "MATRIX_ENTRY_BOUND", 12)
+        assert MatrixGFp.zeros(2, 3, 4).to_rows() == [[0] * 4] * 3
+        assert parse_matrix("12 1 3\n").rows == 12
+        for build in (lambda: MatrixGFp.zeros(2, 13, 1), lambda: parse_matrix("1 13 2\n")):
+            with pytest.raises(CapacityError):
+                build()
+        # from_rows and rank take rows that already exist
+        assert MatrixGFp.from_rows(2, [[1] * 13]).rank() == 1
 
     @pytest.mark.parametrize("text, line", [
         ("2 2 2\n0 0 1.5", "0 0 1.5"),
