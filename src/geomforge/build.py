@@ -260,9 +260,7 @@ def _symplectic_group(n: int) -> PermutationGroup:
     order = prod(4**i - 1 for i in range(1, n + 1)) << (n * n)
     if chain.order() != order:
         raise ValueError(f"group order {chain.order()} does not match expected {order}")
-    group = PermutationGroup(chain.generators, name=f"Sp{2 * n}(2)")
-    group._chain = chain
-    return group
+    return PermutationGroup._certified(chain.generators, chain.degree, order, chain, f"Sp{2 * n}(2)")
 
 
 def _isotropic_subspaces(n: int) -> list[list[tuple[int, ...]]]:
@@ -297,7 +295,7 @@ def symplectic_polar_space(n: int) -> ConstructionMetadata:
     each made once by echelon growth (:func:`_isotropic_subspaces`), with
     Sp_2n(2) generated by the transvections of :func:`symplectic_generators`;
     its order is asserted on the chain that picked them.  The axioms and
-    flag-transitivity are verified at build time for 2 <= n <= 3."""
+    flag-transitivity are verified at build time for n >= 2."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > SYMPLECTIC_RANK_BOUND:
@@ -313,7 +311,7 @@ def symplectic_polar_space(n: int) -> ConstructionMetadata:
     def apply(g: Permutation, sub):
         return tuple(sorted(g.images[v - 1] + 1 for v in sub))
 
-    if 2 <= n <= 3:
+    if n >= 2:
         action = _certified_action("symplectic space", geometry, group, apply)
     else:
         action = element_action(geometry, group, apply)
@@ -373,37 +371,42 @@ def _points_orbit(group: PermutationGroup, seeds) -> list[tuple[int, ...]]:
 
 
 def normalizer_induces_full_linear_group(
-    group: PermutationGroup, subspace_points: Sequence[int]
+    group: PermutationGroup, subspace_points: Sequence[int], orbit_size: Optional[int] = None
 ) -> bool:
     """Check the construction precondition: the setwise stabilizer N of E
     must induce the whole of GL(E) on E.  N induces N / G_(E), where G_(E)
     fixes E pointwise, and |N| = |G| / |E^G| by orbit-stabilizer, so this
-    is |G| == |GL(E)| * |E^G| * |G_(E)|, with |G_(E)| read off one chain."""
+    is |G| == |GL(E)| * |E^G| * |G_(E)|.  One chain with E as its base
+    prefix gives |G_(E)|, and |G| too unless a chain has certified it
+    already; ``orbit_size`` is |E^G| when the caller has closed E's orbit."""
     points = sorted(set(subspace_points))
-    order = group.order()  # first, so that it bounds the chain below
     fixed = group.base_chain(points).stabilizer(len(points)).order()
-    orbit = _points_orbit(group, [tuple(points)])
+    if orbit_size is None:
+        orbit_size = len(_points_orbit(group, [tuple(points)]))
     dim = _subspace_dim(points)
-    return order == prod((1 << dim) - (1 << i) for i in range(dim)) * len(orbit) * fixed
+    return group.order() == prod((1 << dim) - (1 << i) for i in range(dim)) * orbit_size * fixed
 
 
 def subgroup_pattern_geometry(pattern: SubgroupPatternInput) -> Geometry:
     """Elements are the G-orbit closure of the nonzero subspaces of E, typed
-    by dimension, incidence by containment.  Strong connectedness is NOT
-    assumed; callers must run is_geometry on the result."""
+    by dimension, incidence by containment, once the normalizer of E is
+    checked to induce GL(E) on E.  Strong connectedness is NOT assumed;
+    callers must run is_geometry on the result."""
     group = pattern.group
     e_points = sorted(pattern.subspace_points)
-    if not normalizer_induces_full_linear_group(group, e_points):
+    dim_e = _subspace_dim(e_points)
+    e_vectors = [p + 1 for p in e_points]
+    # the d-subspaces of E as points, closed under the generators; the
+    # last orbit is E's own, of size 1 when E is zero
+    orbits = [
+        _points_orbit(group, (tuple(v - 1 for v in s) for s in _subspaces(e_vectors, d)))
+        for d in range(1, dim_e + 1)
+    ]
+    if not normalizer_induces_full_linear_group(group, e_points, len(orbits[-1]) if orbits else 1):
         raise ConstructionError(
             "normalizer of E does not induce the full linear group on E"
         )
-    dim_e = _subspace_dim(e_points)
-    e_vectors = [p + 1 for p in e_points]
-    elements = []
-    for d in range(1, dim_e + 1):
-        # the d-subspaces of E as points, closed under the generators
-        orbit = _points_orbit(group, (tuple(v - 1 for v in s) for s in _subspaces(e_vectors, d)))
-        elements.extend((s, d) for s in sorted(orbit))
+    elements = [(s, d) for d, orbit in enumerate(orbits, start=1) for s in sorted(orbit)]
     return Geometry(dim_e, elements, _containment_incidences([s for s, _ in elements]))
 
 
@@ -435,34 +438,54 @@ def _vector_perm(func) -> Permutation:
     return Permutation([func(v) - 1 for v in range(1, 64)])
 
 
+def _diag_w(v: int) -> int:
+    return _gf4_set_coord(v, 0, _GF4_MUL[2][_gf4_coord(v, 0)])
+
+
+def _coordinate_cycle(v: int) -> int:
+    return _gf4_coord(v, 2) | (_gf4_coord(v, 0) << 2) | (_gf4_coord(v, 1) << 4)
+
+
+def _transvection(v: int) -> int:
+    return _gf4_set_coord(v, 0, _gf4_coord(v, 0) ^ _gf4_coord(v, 1))
+
+
+def _frobenius(v: int) -> int:
+    out = 0
+    for i in range(3):
+        c = _gf4_coord(v, i)
+        a, b = c & 1, c >> 1
+        out |= ((a ^ b) | (b << 1)) << (2 * i)
+    return out
+
+
+# the vector maps whose permutations generate GammaL3(4)
+_GAMMA_L3_4_MAPS = (_diag_w, _coordinate_cycle, _transvection, _frobenius)
+GAMMA_L3_4_ORDER = 362880  # 2 |GL3(4)| = 2 (4^3 - 1)(4^3 - 4)(4^3 - 4^2)
+
+
+def _is_semilinear(g: Permutation, scalar: Permutation) -> bool:
+    """Whether g is additive on GF(2)^6 and conjugates the scalar w to w or
+    w^2: then g(cv) = c^s g(v) for every c in GF(4), with s the identity or
+    the Frobenius map, so g lies in GammaL3(4).  Additive means that each
+    vector's image is the sum of the images of its lowest bit and the rest."""
+    image = (0, *(p + 1 for p in g.images))
+    additive = all(image[v] == image[v & -v] ^ image[v & (v - 1)] for v in range(1, 64))
+    return additive and scalar * g in (g * scalar, g * scalar * scalar)
+
+
 def gamma_l3_4() -> tuple[PermutationGroup, Permutation]:
     """GammaL3(4) on the 63 nonzero hexacode vectors, plus the order-3
     scalar (multiplication by w).  The GF(2)^6 reading uses basis (1, w)
-    per GF(4) coordinate."""
-
-    def diag_w(v: int) -> int:
-        return _gf4_set_coord(v, 0, _GF4_MUL[2][_gf4_coord(v, 0)])
-
-    def cycle(v: int) -> int:
-        return _gf4_coord(v, 2) | (_gf4_coord(v, 0) << 2) | (_gf4_coord(v, 1) << 4)
-
-    def transvection(v: int) -> int:
-        return _gf4_set_coord(v, 0, _gf4_coord(v, 0) ^ _gf4_coord(v, 1))
-
-    def frobenius(v: int) -> int:
-        out = 0
-        for i in range(3):
-            c = _gf4_coord(v, i)
-            a, b = c & 1, c >> 1
-            out |= ((a ^ b) | (b << 1)) << (2 * i)
-        return out
-
-    group = PermutationGroup(
-        [_vector_perm(f) for f in (diag_w, cycle, transvection, frobenius)],
-        name="GammaL3(4)",
-    )
+    per GF(4) coordinate.  Each generator is checked to be semilinear, so
+    |GammaL3(4)| is a certified bound on the order of the group they
+    generate, and the chain that reaches it needs no verification pass."""
     scalar = _vector_perm(lambda v: _gf4_scale(2, v))
-    if group.order() != 362880:
+    gens = [_vector_perm(f) for f in _GAMMA_L3_4_MAPS]
+    if not all(_is_semilinear(g, scalar) for g in gens):
+        raise ConstructionError("a GammaL3(4) generator is not semilinear")
+    group = PermutationGroup(gens, name="GammaL3(4)", order_bound=GAMMA_L3_4_ORDER)
+    if group.order() != GAMMA_L3_4_ORDER:
         raise ConstructionError(f"GammaL3(4) order check failed: {group.order()}")
     if scalar.order() != 3 or not group.contains(scalar):
         raise ConstructionError("scalar subgroup check failed")
@@ -490,7 +513,7 @@ def tilde_geometry(seed: int) -> ConstructionMetadata:
     passing = [
         orb[0]
         for orb in sub_action.orbits()
-        if len(orb) == 45 and normalizer_induces_full_linear_group(group, orb[0])
+        if len(orb) == 45 and normalizer_induces_full_linear_group(group, orb[0], len(orb))
     ]
     if not passing:
         raise ConstructionError("no 2-subspace orbit satisfies the preconditions")

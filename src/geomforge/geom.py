@@ -26,7 +26,15 @@ from itertools import combinations, groupby
 from typing import Iterable, Optional, Sequence
 
 from .graphs import Graph, graph_isomorphism
-from .perm import CapacityError, GroupAction, PermutationGroup, _closure, _tuple_step, label_key
+from .perm import (
+    CapacityError,
+    GroupAction,
+    PermutationGroup,
+    StabilizerChain,
+    _closure,
+    _tuple_step,
+    label_key,
+)
 
 __all__ = [
     "Geometry",
@@ -244,9 +252,21 @@ class Geometry:
         return cls(rank, elements, incidences)
 
     def save(self, path) -> None:
+        """Write ``to_json()`` in the layout of ``json.dump(..., indent=1,
+        sort_keys=True)`` plus a newline, line by line: that encoder runs in
+        pure Python whenever an indent is set.  Only the ids need escaping,
+        each by ``json.dumps``; the types and the rank are ints."""
+        ids = {e: json.dumps(_id_to_str(e)) for e in self.elements}
+
+        def block(items: list[str]) -> str:
+            return "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
+
+        elements = [f'  {{\n   "id": {ids[e]},\n   "type": {self.type_of[e]}\n  }}' for e in self.elements]
+        pairs = [f"  [\n   {ids[a]},\n   {ids[b]}\n  ]" for a, b in self.incidence_pairs()]
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write('{\n "elements": ' + block(elements))
+            fh.write(',\n "incidences": ' + block(pairs))
+            fh.write(f',\n "rank": {self.rank}\n}}\n')
 
     @classmethod
     def load(cls, path) -> "Geometry":
@@ -426,19 +446,56 @@ def is_flag_transitive(g: Geometry, action: GroupAction) -> bool:
     """True when one maximal-flag orbit covers all maximal flags; the action
     is checked to preserve types and incidence first."""
     _check_action(g, action)
-    return _one_flag_orbit(g, action)
+    return _one_flag_orbit(g, action) is not None
 
 
-def _one_flag_orbit(g: Geometry, action: GroupAction) -> bool:
-    """``is_flag_transitive`` for an action already checked, as
-    ``element_action`` checks the action it builds."""
-    flags = g.maximal_flags()
-    if not flags:
-        return False
-    # flags list their elements in type order, and the action preserves
-    # types, so a flag's image is again in type order
-    start = tuple(action.index[e] for e in flags[0])
-    return len(_closure([start], _tuple_step(action.images))) == len(flags)
+def _one_flag_orbit(g: Geometry, action: GroupAction) -> Optional[StabilizerChain]:
+    """For an action already checked, as ``element_action`` checks the
+    action it builds: a chain of its image whose base starts with a chamber
+    C = (c_1, ..., c_r), the first in index order, when the action is
+    transitive on the chambers (the flags meeting every type); else None.
+
+    The chain is bounded by the acting group's certified order.  Its
+    level-k group fixes c_1..c_k, and its orbit of c_(k+1) lies among the
+    type-(k+1) elements that extend c_1..c_k to a chamber.  The action is
+    chamber-transitive exactly when each orbit is all of them, for then
+    every chamber is an image of C, one type at a time (Tits, *A local
+    approach to buildings*, 1981).  In a geometry every flag lies in a
+    chamber, so any element outside the orbit fails the test; in other
+    incidence systems only one that extends to a chamber does."""
+    pencils, by_type = g._masks
+    everything = (1 << g.size) - 1
+    chamber = _first_chamber(pencils, by_type, everything, range(1, g.rank + 1))
+    if chamber is None:
+        return None
+    els, order = g.elements, g._order
+    chain = action.image_group().base_chain([action.index[els[i]] for i in chamber])
+    at = [order[e] for e in action.domain]  # the geometry index of each point
+    cands = everything
+    for k, c in enumerate(chamber):
+        orbit = 0
+        for p in chain.basic_orbit(k):
+            orbit |= 1 << at[p]
+        later = range(k + 2, g.rank + 1)
+        for x in _bits(cands & by_type[k + 1] & ~orbit):
+            if _first_chamber(pencils, by_type, cands & pencils[x], later) is not None:
+                return None
+        cands &= pencils[c]
+    return chain
+
+
+def _first_chamber(
+    pencils: list[int], by_type: dict, cands: int, types: Sequence[int]
+) -> Optional[list[int]]:
+    """The first flag, in index order, of elements in the mask ``cands``
+    with one of each type in ``types`` (as indices), or None."""
+    if not types:
+        return []
+    for x in _bits(cands & by_type[types[0]]):
+        rest = _first_chamber(pencils, by_type, cands & pencils[x], types[1:])
+        if rest is not None:
+            return [x, *rest]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -763,14 +820,16 @@ def amalgam_report(g: Geometry, action: GroupAction, flag: Sequence) -> AmalgamR
     """Orders of the maximal parabolics (flag-element stabilizers in the
     action image), their pairwise intersections and the Borel subgroup, by
     orbit-stabilizer: the pointwise stabilizer of a tuple of elements has
-    order |image| / |orbit of the tuple|, so the image's chain is the only
-    one built."""
-    if not is_flag_transitive(g, action):
+    order |image| / |orbit of the tuple|, so the image's chain that
+    certifies flag-transitivity is the only one built."""
+    _check_action(g, action)
+    chain = _one_flag_orbit(g, action)
+    if chain is None:
         raise ActionError("amalgam report requires a flag-transitive action")
     flag = tuple(sorted(flag, key=label_key))
     if len(flag) != g.rank or not g.is_flag(flag):
         raise FlagError("amalgam report requires a maximal flag")
-    image_order = action.image_group().order()
+    image_order = chain.order()
     step = _tuple_step(action.images)
     by_type = {g.type_of[e]: action.index[e] for e in flag}
     types = sorted(by_type)

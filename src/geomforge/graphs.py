@@ -3,6 +3,7 @@ covering and local-analysis modules."""
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Optional
 
 from .perm import _closure, label_key
@@ -149,6 +150,15 @@ def _color_histogram(colors: dict) -> dict:
     return hist
 
 
+def _profile_histogram(graph: Graph, colors: dict) -> Counter:
+    """How many vertices have each (color, distance profile), where a
+    vertex's profile counts the vertices at each distance from it."""
+    return Counter(
+        (colors[v], tuple(sorted(Counter(graph.distances(v).values()).items())))
+        for v in graph.vertices
+    )
+
+
 def graph_isomorphism(
     g1: Graph,
     g2: Graph,
@@ -158,7 +168,8 @@ def graph_isomorphism(
     """A color- and adjacency-preserving bijection g1 -> g2, or None.
 
     Initial colors default to vertex degree classes; refinement runs before
-    the backtracking search.
+    the backtracking search, and graphs whose (color, distance profile)
+    counts differ are refused without one.
     """
     if g1.n != g2.n or g1.num_edges != g2.num_edges:
         return None
@@ -167,6 +178,11 @@ def graph_isomorphism(
     colors1 = _refine(g1, colors1)
     colors2 = _refine(g2, colors2)
     if _color_histogram(colors1) != _color_histogram(colors2):
+        return None
+    # an isomorphism keeps each vertex's color and distance profile, and
+    # on regular graphs that refinement leaves in one class the profiles
+    # tell apart what the search would only refute by backtracking
+    if _profile_histogram(g1, colors1) != _profile_histogram(g2, colors2):
         return None
 
     order = _search_order(g1, colors1)

@@ -147,7 +147,10 @@ def _apply_perm_to_mask(perm: Permutation, mask: int) -> int:
 @lru_cache(maxsize=1)
 def mathieu_group_24() -> PermutationGroup:
     """Bundled M24 generators, verified to preserve the Golay code and to
-    generate a group of the right order."""
+    generate a group of the right order.  Preserving the code puts them in
+    its automorphism group M24, so |M24| is a certified bound on the order
+    of the group they generate, and the chain that reaches it needs no
+    verification pass."""
     code = golay_code()
     payload = _load_verified("m24_generators.json")
     gens = [Permutation(images) for images in payload["generators"]]
@@ -155,7 +158,7 @@ def mathieu_group_24() -> PermutationGroup:
         for b in code.basis:
             if not code.contains(_apply_perm_to_mask(g, b)):
                 raise ConstructionError("bundled generator does not preserve the code")
-    group = PermutationGroup(gens, name="M24")
+    group = PermutationGroup(gens, name="M24", order_bound=M24_ORDER)
     if group.order() != M24_ORDER:
         raise ConstructionError(f"M24 order check failed: {group.order()}")
     return group
@@ -176,16 +179,21 @@ def aut_m22(seed: int) -> PermutationGroup:
         # <a, b> <= stab, so stab's certified order bounds the pair's chain
         pair_chain = StabilizerChain(stab.degree, [a, b], order_bound=stab.order())
         if pair_chain.order() == AUT_M22_ORDER:
-            candidate = PermutationGroup([a, b], name="AutM22")
-            candidate._chain = pair_chain
-            return candidate
+            return PermutationGroup._certified([a, b], stab.degree, AUT_M22_ORDER, pair_chain, "AutM22")
     return stab
 
 
 def _cocode_quotient_action(code: GolayCode, group: PermutationGroup):
-    """The action of a duad stabilizer on the 2047 nonzero vectors of the
-    11-dimensional quotient of the cocode by the duad class; returns the
-    acting group and the syndrome-to-quotient encoder."""
+    """The action of a duad stabilizer in M24 on the 2047 nonzero vectors
+    of the 11-dimensional quotient of the cocode by the duad class; returns
+    the acting group and the syndrome-to-quotient encoder.
+
+    Each generator acts linearly: it preserves the code, so the syndrome of
+    a moved subset depends only on the subset's class; it fixes the duad
+    class; and ``to_h`` and ``from_h`` are linear.  So the images of the 11
+    basis vectors give every image, each vector's as the sum of the images
+    of its lowest bit and the rest.  ``GroupAction`` checks each image row
+    for bijectivity."""
     s_ab = code.syndrome((1 << DUAD[0]) | (1 << DUAD[1]))
     k = (s_ab & -s_ab).bit_length() - 1
 
@@ -199,11 +207,13 @@ def _cocode_quotient_action(code: GolayCode, group: PermutationGroup):
 
     images = []
     for g in group.generators:
-        row = [0] * 2047
+        basis = [to_h(code.syndrome(_apply_perm_to_mask(g, code.representative(from_h(1 << i)))))
+                 for i in range(11)]
+        image = [0] * 2048
         for h in range(1, 2048):
-            moved = _apply_perm_to_mask(g, code.representative(from_h(h)))
-            row[h - 1] = to_h(code.syndrome(moved)) - 1
-        images.append(row)
+            low = h & -h
+            image[h] = basis[low.bit_length() - 1] ^ image[h ^ low]
+        images.append([x - 1 for x in image[1:]])
     # the image carries Aut(M22)'s certified order as the bound on its chains
     module_group = GroupAction(group, range(1, 2048), images).image_group()
     module_group.name = "AutM22-cocode"

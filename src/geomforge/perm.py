@@ -266,6 +266,10 @@ class StabilizerChain:
     ``order_bound``, a certified upper bound on the group order: a partial
     chain's order never exceeds the group order, so one that reaches the
     bound is complete (Seress, *Permutation Group Algorithms*, 2003, section 4.5).
+    A bound is certified when it is the order of a group known to contain
+    this one (see :class:`PermutationGroup`).  A complete chain sifts every
+    element to the identity, so the build stops with the levels it would
+    end with anyway, and :meth:`sample` draws the same elements.
 
     ``base_prefix`` forces the chain base to start with the given points,
     which makes pointwise stabilizers directly readable off the chain
@@ -443,16 +447,26 @@ class StabilizerChain:
         """An element sending the first base point to q."""
         return self.levels[0].inverses[q].inverse()
 
+    def basic_orbit(self, k: int) -> list[int]:
+        """The orbit of base point k under the group at level k, sorted.
+        Past the last level that group is trivial, so for k below the
+        base-prefix length the orbit is prefix point k alone."""
+        if k < len(self.levels):
+            return sorted(self.levels[k].inverses)
+        return [self._base_prefix[k]]
+
     def sample(self, rng: Random) -> Permutation:
         """Uniform random element (valid because the chain is complete).
 
         Sifting factors every element as (deep part) * (level-0 rep), so the
-        transversal representatives compose deepest level first."""
+        transversal representatives compose deepest level first; the points
+        are drawn in that order.  The inverse of that product is the stored
+        inverses multiplied top level first, so it is inverted once."""
+        points = [rng.choice(sorted(level.inverses)) for level in reversed(self.levels)]
         g = Permutation.identity(self.degree)
-        for level in reversed(self.levels):
-            p = rng.choice(sorted(level.inverses))
-            g = g * level.inverses[p].inverse()
-        return g
+        for level, p in zip(self.levels, reversed(points)):
+            g = g * level.inverses[p]
+        return g.inverse()
 
 
 class _ProductReplacer:
@@ -485,9 +499,16 @@ class _ProductReplacer:
 
 class PermutationGroup:
     """A group given by permutation generators, with a cached certified
-    stabilizer chain.  Its chains are bounded by the order once certified,
-    else by the acting group's order for an action image; ``expected_order``
-    is checked against a chain, never trusted.  Immutable after construction."""
+    stabilizer chain.  The first chain built, whatever its base, certifies
+    the order, and later chains are bounded by it.  Until then they are
+    bounded by ``order_bound``, the order of a group known to contain this
+    one: the acting group's order for an action image, |M24| for
+    generators checked to preserve the Golay code, |GammaL3(4)| for
+    generators checked to be semilinear.  A chain that reaches its bound is
+    complete, so no verification pass runs.  A bound is never read from
+    input, and ``expected_order`` is checked against a chain, never
+    trusted.  Immutable after construction, but for its cached chain and
+    order."""
 
     def __init__(
         self,
@@ -495,6 +516,7 @@ class PermutationGroup:
         degree: Optional[int] = None,
         name: Optional[str] = None,
         expected_order: Optional[int] = None,
+        order_bound: Optional[int] = None,
     ):
         generators = list(generators)
         if degree is None:
@@ -511,7 +533,7 @@ class PermutationGroup:
         self.name = name
         self._chain: Optional[StabilizerChain] = None
         self._verified_order: Optional[int] = None
-        self._order_bound: Optional[int] = None
+        self._order_bound = order_bound
         if expected_order is not None and self.order() != expected_order:
             raise ValueError(
                 f"group order {self.order()} does not match expected {expected_order}"
@@ -519,12 +541,19 @@ class PermutationGroup:
 
     @classmethod
     def _certified(
-        cls, generators: Sequence[Permutation], degree: int, order: int
+        cls,
+        generators: Sequence[Permutation],
+        degree: int,
+        order: int,
+        chain: Optional[StabilizerChain] = None,
+        name: Optional[str] = None,
     ) -> "PermutationGroup":
         """The group on ``generators`` whose order a chain has already
-        certified; its own chains are built only when asked for."""
-        group = cls(generators, degree=degree)
+        certified; it carries ``chain`` when given, else its own chains are
+        built only when asked for."""
+        group = cls(generators, degree=degree, name=name)
         group._verified_order = order
+        group._chain = chain
         return group
 
     @classmethod
@@ -556,9 +585,13 @@ class PermutationGroup:
         return self._chain
 
     def base_chain(self, points: Sequence[int]) -> StabilizerChain:
-        """A new certified chain whose base starts with ``points``."""
+        """A new certified chain whose base starts with ``points``.  The
+        first chain built certifies the group's order, so later chains stop
+        once they reach it."""
         bound = self._verified_order or self._order_bound
-        return StabilizerChain(self.degree, self.generators, points, order_bound=bound)
+        chain = StabilizerChain(self.degree, self.generators, points, order_bound=bound)
+        self._verified_order = chain.order()
+        return chain
 
     def order(self) -> int:
         if self._verified_order is None:
@@ -719,9 +752,7 @@ class GroupAction:
         whose chains the acting group's certified order bounds."""
         # __init__ checked that every image is a bijection of the domain
         gens = [Permutation._trusted(img) for img in self.images]
-        image = PermutationGroup(gens, degree=len(self.domain))
-        image._order_bound = self.group.order()
-        return image
+        return PermutationGroup(gens, degree=len(self.domain), order_bound=self.group.order())
 
     def restricted(self, labels: Sequence) -> "GroupAction":
         """Action induced on an invariant subset of the domain, whose labels
@@ -815,9 +846,7 @@ def subgroup_search(
             continue
         # the order limit only stops a build, so this is the chain the
         # group would build for itself
-        candidate = PermutationGroup(gens, degree=group.degree)
-        candidate._chain = sub_chain
-        return candidate
+        return PermutationGroup._certified(gens, group.degree, predicate.order, sub_chain)
     return None
 
 

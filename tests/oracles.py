@@ -17,6 +17,8 @@ from geomforge.perm import (
     Permutation,
     PermutationGroup,
     StabilizerChain,
+    _closure,
+    _tuple_step,
     induced_action,
     label_key,
 )
@@ -160,6 +162,57 @@ def coset_representatives_by_syndrome(code):
             if s not in rep:
                 rep[s] = m
     return rep
+
+
+def cocode_action_by_vectors(code, group):
+    """The image rows of ``geomforge.m22._cocode_quotient_action``, each of
+    the 2047 quotient vectors moved on its own: lift it to a cocode
+    representative, move that subset and read the class of its syndrome.
+    The library computed every row this way before it took the rows from
+    11 basis images, kept as its reference."""
+    from geomforge.m22 import DUAD, _apply_perm_to_mask
+
+    s_ab = code.syndrome((1 << DUAD[0]) | (1 << DUAD[1]))
+    k = (s_ab & -s_ab).bit_length() - 1
+
+    def to_h(s):
+        if (s >> k) & 1:
+            s ^= s_ab
+        return (s & ((1 << k) - 1)) | ((s >> (k + 1)) << k)
+
+    def from_h(h):
+        return (h & ((1 << k) - 1)) | ((h >> k) << (k + 1))
+
+    return [
+        tuple(
+            to_h(code.syndrome(_apply_perm_to_mask(g, code.representative(from_h(h))))) - 1
+            for h in range(1, 2048)
+        )
+        for g in group.generators
+    ]
+
+
+def sample_by_level_inverses(chain, rng):
+    """``StabilizerChain.sample`` as the library drew it before it
+    inverted once: one point per level, deepest level first, and the
+    product of each level's representative, each inverted on its own."""
+    g = Permutation.identity(chain.degree)
+    for level in reversed(chain.levels):
+        p = rng.choice(sorted(level.inverses))
+        g = g * level.inverses[p].inverse()
+    return g
+
+
+def flag_transitive_by_closure(g, action):
+    """Whether the action is transitive on the maximal flags (those that
+    meet every type), by the orbit closure of the first one over all of
+    them.  ``geomforge.geom._one_flag_orbit`` ran this before it read the
+    answer off one chain, kept as its reference."""
+    flags = g.maximal_flags()
+    if not flags:
+        return False
+    start = tuple(action.index[e] for e in flags[0])
+    return len(_closure([start], _tuple_step(action.images))) == len(flags)
 
 
 def exhaustive_orbit(seed, generator_maps):

@@ -19,7 +19,7 @@ from geomforge.geom import (
 )
 from geomforge.graphs import girth
 from geomforge.natrep import um_dimension
-from geomforge.perm import GroupAction, Permutation, PermutationGroup
+from geomforge.perm import GroupAction, Permutation, PermutationGroup, StabilizerChain
 from oracles import (
     bfs_girth,
     isotropic_subspaces_by_growth,
@@ -107,7 +107,8 @@ def _build_m22_afresh():
     lambda: build.symplectic_polar_space(3),
     lambda: build.tilde_geometry(42),
     pytest.param(_build_m22_afresh, marks=pytest.mark.stretch),
-], ids=["sp2", "sp3", "tilde", "m22"])
+    pytest.param(lambda: build.symplectic_polar_space(4), marks=pytest.mark.stretch),
+], ids=["sp2", "sp3", "tilde", "m22", "sp4"])
 def test_one_certification_step(monkeypatch, construct):
     # each verified build checks the axioms, then builds the element action,
     # which checks it, and tests flag-transitivity on it without a second
@@ -338,6 +339,55 @@ class TestNormalizerCondition:
             build.SubgroupPatternInput(
                 group=build._general_linear_group(2), dim_h=2, subspace_points=points
             )
+
+
+def _tampered_maps(which):
+    """The GammaL3(4) generator maps with the last one replaced: by a map
+    that commutes with the scalar w but is not additive (it swaps the
+    scalar multiples of e1 with those of e2 and fixes the rest), or by an
+    additive map that does not normalize <w> (it swaps the 1-parts of the
+    first two coordinates)."""
+    if which == "not-additive":
+        swap = {1: 4, 2: 8, 3: 12, 4: 1, 8: 2, 12: 3}
+
+        def tampered(v):
+            return swap.get(v, v)
+    else:
+
+        def tampered(v):
+            a0, a1 = v & 1, v >> 2 & 1
+            return v & ~0b101 | a1 | a0 << 2
+
+    return (*build._GAMMA_L3_4_MAPS[:-1], tampered)
+
+
+class TestGammaL34:
+    def test_generators_are_semilinear(self):
+        group, scalar = build.gamma_l3_4()
+        assert all(build._is_semilinear(g, scalar) for g in group.generators)
+
+    def test_chain_reaches_the_bound_without_verification(self, monkeypatch):
+        runs = []
+        verify = StabilizerChain._verify
+        monkeypatch.setattr(StabilizerChain, "_verify", lambda chain: runs.append(1) or verify(chain))
+        group, _ = build.gamma_l3_4()
+        assert group.order() == build.GAMMA_L3_4_ORDER and runs == []
+
+    @pytest.mark.parametrize("which", ["not-additive", "not-normalizing"])
+    def test_tampered_generator_is_refused_before_any_chain(self, monkeypatch, which):
+        maps = _tampered_maps(which)
+        scalar = build._vector_perm(lambda v: build._gf4_scale(2, v))
+        tampered = build._vector_perm(maps[-1])
+        assert not build._is_semilinear(tampered, scalar)
+        if which == "not-additive":
+            assert scalar * tampered == tampered * scalar
+        built = []
+        init = StabilizerChain.__init__
+        monkeypatch.setattr(StabilizerChain, "__init__", lambda chain, *a, **k: built.append(1) or init(chain, *a, **k))
+        monkeypatch.setattr(build, "_GAMMA_L3_4_MAPS", maps)
+        with pytest.raises(build.ConstructionError, match="not semilinear"):
+            build.gamma_l3_4()
+        assert built == []
 
 
 class TestTilde:

@@ -3,11 +3,14 @@ graphs, quotients, coverings, isomorphism and amalgams."""
 
 import json
 import random
+import tempfile
+import time
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, Phase, assume, find, given, settings
+from hypothesis import HealthCheck, Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from geomforge import build, geom, m22
@@ -40,6 +43,7 @@ from oracles import (
     axiom_failures_by_frozensets,
     common_neighbor_edges,
     diagram_by_frozensets,
+    flag_transitive_by_closure,
     maximal_flags_by_frozensets,
     naive_rank2_class,
     _rank2_class_by_frozensets,
@@ -150,7 +154,35 @@ def _relabelled_builtins(draw):
     )
 
 
+_ESCAPED_IDS = st.one_of(_IDS, st.text(alphabet='"\\/\n\x00é☃𝔊', min_size=1, max_size=4))
+
+
+@st.composite
+def _escaped_systems(draw):
+    """Incidence systems whose ids need escaping in JSON: quotes,
+    backslashes, control and non-ASCII characters, and integers."""
+    rank = draw(st.integers(0, 3))
+    ids = draw(st.lists(_ESCAPED_IDS, unique_by=_json_name, max_size=10)) if rank else []
+    types = {e: draw(st.integers(1, rank)) for e in ids}
+    incidences = [
+        (a, b) for i, a in enumerate(ids) for b in ids[i + 1 :] if types[a] != types[b] and draw(st.booleans())
+    ]
+    return Geometry(rank, list(types.items()), incidences)
+
+
 class TestFileRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(_escaped_systems(), _relabelled_builtins()))
+    @example(Geometry(0, [], []))
+    @example(Geometry(2, [], []))
+    def test_save_writes_the_json_dump_layout(self, g):
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "g.json"
+            g.save(path)
+            written = path.read_bytes()
+        want = json.dumps(g.to_json(), indent=1, sort_keys=True) + "\n"
+        assert written == want.encode("utf-8")
+
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(_incidence_systems(), _relabelled_builtins()))
     def test_geometry_json_keeps_structure(self, g):
@@ -531,7 +563,99 @@ class TestCountedClasses:
         assert calls == []
 
 
+@lru_cache(maxsize=None)
+def _acted_builtins():
+    return (
+        build.petersen_geometry(),
+        build.symplectic_polar_space(2),
+        build.projective_geometry_2(3),
+        build.projective_geometry_2(4),
+        build.symplectic_polar_space(3),
+        build.tilde_geometry(seed=42),
+    )
+
+
+def _image_action(g, action, group):
+    """The action on ``g``'s elements of a group of permutations of the
+    action's domain positions, such as a subgroup of its image."""
+    return element_action(g, group, lambda p, e: action.domain[p.images[action.index[e]]])
+
+
+def _two_copies(meta, swap):
+    """Two disjoint copies of ``meta.geometry``, labelled (e, 0) and (e, 1),
+    under the action image on both copies at once and, when ``swap``, the
+    permutation that exchanges them."""
+    g, action = meta.geometry, meta.action
+    n = len(action.domain)
+    domain = [(e, i) for i in (0, 1) for e in action.domain]
+    index = {label: k for k, label in enumerate(domain)}
+    gens = [Permutation([*img, *(x + n for x in img)]) for img in action.images]
+    if swap:
+        gens.append(Permutation([*range(n, 2 * n), *range(n)]))
+    doubled = Geometry(
+        g.rank,
+        [((e, i), t) for e, t in g.type_of.items() for i in (0, 1)],
+        [((a, i), (b, i)) for a, b in g.incidence_pairs() for i in (0, 1)],
+    )
+    return doubled, element_action(doubled, PermutationGroup(gens), lambda p, e: domain[p.images[index[e]]])
+
+
+@st.composite
+def _acted_systems(draw):
+    """Builtins under their group, under a subgroup generated by seeded
+    random elements of the action image, under the chamber stabilizer G_C
+    read off the image chain based at a chamber, or as two disjoint copies
+    under the group on both copies with or without the swap."""
+    meta = draw(st.sampled_from(_acted_builtins()))
+    g, action = meta.geometry, meta.action
+    kind = draw(st.sampled_from(["full", "random", "chamber", "copies", "swapped"]))
+    if kind == "full":
+        return g, action
+    if kind in ("copies", "swapped"):
+        return _two_copies(meta, kind == "swapped")
+    image = action.image_group()
+    if kind == "random":
+        rng = random.Random(draw(st.integers(0, 10**6)))
+        chain = image.chain()
+        gens = [chain.sample(rng) for _ in range(draw(st.integers(1, 2)))]
+        return g, _image_action(g, action, PermutationGroup(gens))
+    chamber = [action.index[e] for e in g.maximal_flags()[0]]
+    stabilizer = image.base_chain(chamber).stabilizer(len(chamber))
+    return g, _image_action(g, action, stabilizer)
+
+
 class TestFlagTransitivity:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_acted_systems())
+    def test_chamber_chain_agrees_with_closure(self, system):
+        g, action = system
+        assert is_flag_transitive(g, action) == flag_transitive_by_closure(g, action)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_two_copies_follow_the_swap(self, gq22, swap):
+        g, action = _two_copies(gq22, swap)
+        assert not is_geometry(g).ok
+        assert is_flag_transitive(g, action) is swap
+
+    def test_chamber_stabilizer_is_not_transitive(self, sp3):
+        g, action = sp3.geometry, sp3.action
+        chamber = [action.index[e] for e in g.maximal_flags()[0]]
+        stabilizer = action.image_group().base_chain(chamber).stabilizer(3)
+        assert stabilizer.order() == sp3.group.order() // len(g.maximal_flags())
+        assert not is_flag_transitive(g, _image_action(g, action, stabilizer))
+
+    def test_element_in_no_chamber_is_ignored(self):
+        # the point b lies on no line, so the one chamber (a, L) is an
+        # orbit under the trivial group, though b is outside it
+        g = Geometry(2, [("a", 1), ("b", 1), ("L", 2)], [("a", "L")])
+        action = element_action(g, PermutationGroup.trivial(1), lambda p, e: e)
+        assert is_flag_transitive(g, action) and flag_transitive_by_closure(g, action)
+
+    def test_no_chamber_is_not_transitive(self):
+        g = Geometry(2, [("a", 1)], [])
+        action = element_action(g, PermutationGroup.trivial(1), lambda p, e: e)
+        assert not is_flag_transitive(g, action)
+
     def test_p0_s5(self, p0):
         assert len(p0.geometry.maximal_flags()) == 30
         assert is_flag_transitive(p0.geometry, p0.action)
@@ -888,6 +1012,29 @@ class TestIsomorphic:
         with pytest.raises(CapacityError):
             isomorphic(big1, big2)
 
+    def test_shuffled_voltage_cover_is_refused_fast(self, gq22, t0):
+        # a Z/3 voltage cover of GQ(2,2)'s incidence graph with shuffled
+        # labels: cubic and bipartite like the tilde geometry, so colour
+        # refinement leaves one class per type, but its distance profiles
+        # differ; the search alone took several seconds to refute it
+        rnd = random.Random(2)
+        gq = gq22.geometry
+        incidences = []
+        for v, w in gq.incidence_pairs():
+            volt = rnd.randrange(3)
+            incidences += [((v, a), (w, (a + volt) % 3)) for a in range(3)]
+        cover = Geometry(2, [((e, a), gq.type_of[e]) for e in gq.elements for a in range(3)], incidences)
+        name = dict(zip(cover.elements, rnd.sample(range(90), 90)))
+        shuffled = Geometry(
+            2,
+            [(name[e], t) for e, t in cover.type_of.items()],
+            [(name[a], name[b]) for a, b in cover.incidence_pairs()],
+        )
+        assert diagram(shuffled).edge(1, 2) != "tilde-edge"
+        started = time.perf_counter()
+        assert isomorphic(shuffled, t0.geometry) is None
+        assert time.perf_counter() - started < 2
+
     def test_fano_vs_non_plane_circulant(self, fano):
         # same 7/7 counts and 3/3 degrees but {0,1,2} is not a planar
         # difference set, so this is not a projective plane
@@ -1108,7 +1255,7 @@ class TestFlagWalkOracle:
             )
 
     def test_masks_are_built_on_the_first_walk(self):
-        # sp with n = 1 runs element_action, as the unwalked n = 4 build does
+        # sp with n = 1 runs element_action alone: a rank-1 space is not certified
         g = build.symplectic_polar_space(1).geometry
         g.incidence_pairs()
         g.to_json()

@@ -3,12 +3,12 @@ the rank-3 Petersen-type geometry of Aut(M22)."""
 
 import pytest
 
-from geomforge import build, local, m22
-from geomforge.geom import derived_graph, diagram, is_flag_transitive, is_geometry
+from geomforge import build, geom, local, m22
+from geomforge.geom import Geometry, derived_graph, diagram, is_flag_transitive, is_geometry
 from geomforge.graphs import girth
 from geomforge.natrep import um_dimension
 from geomforge.perm import PermutationGroup, StabilizerChain
-from oracles import coset_representatives_by_syndrome
+from oracles import cocode_action_by_vectors, coset_representatives_by_syndrome
 pytestmark = pytest.mark.stretch
 
 
@@ -74,6 +74,32 @@ class TestMathieu:
     def test_m24_is_5_transitive_on_orbits(self):
         group = m22.mathieu_group_24()
         assert len(group.point_orbit(0)) == 24
+
+    def test_m24_chain_reaches_the_bound_without_verification(self, monkeypatch):
+        runs = []
+        verify = StabilizerChain._verify
+        monkeypatch.setattr(StabilizerChain, "_verify", lambda chain: runs.append(1) or verify(chain))
+        assert m22.mathieu_group_24.__wrapped__().order() == m22.M24_ORDER
+        assert runs == []
+
+    def test_code_breaking_generator_is_refused_before_any_chain(self, monkeypatch):
+        # a transposition moves some codeword out of the code, so it is not
+        # in M24 and |M24| is no bound for the group it would generate
+        load = m22._load_verified
+
+        def tampered(name):
+            payload = load(name)
+            if name == "m24_generators.json":
+                payload["generators"][-1] = [1, 0, *range(2, 24)]
+            return payload
+
+        built = []
+        init = StabilizerChain.__init__
+        monkeypatch.setattr(StabilizerChain, "__init__", lambda chain, *a, **k: built.append(1) or init(chain, *a, **k))
+        monkeypatch.setattr(m22, "_load_verified", tampered)
+        with pytest.raises(build.ConstructionError, match="does not preserve the code"):
+            m22.mathieu_group_24.__wrapped__()
+        assert built == []
 
     def test_aut_m22_order(self):
         assert m22.aut_m22(seed=11).order() == 887040
@@ -144,3 +170,25 @@ def test_aut_m22_pair_chain_stops_at_certified_order(monkeypatch, seed):
     group = m22.aut_m22(seed)
     assert group.name == "AutM22" and group.order() == m22.AUT_M22_ORDER
     assert not [chain for chain in runs if chain is group.chain()]
+
+
+def test_cocode_action_matches_per_vector_evaluation():
+    code, aut = m22.golay_code(), m22.aut_m22(seed=11)
+    module_group, _ = m22._cocode_quotient_action(code, aut)
+    assert [g.images for g in module_group.generators] == cocode_action_by_vectors(code, aut)
+
+
+def test_build_certifies_with_one_chain_of_degree_2047(monkeypatch):
+    # the heptad normalizer test's chain certifies the module group's
+    # order, and flag-transitivity is read off one chain based at a
+    # chamber, with no list of maximal flags and no orbit closure of them
+    degrees, spied = [], []
+    init = StabilizerChain.__init__
+    monkeypatch.setattr(
+        StabilizerChain, "__init__", lambda chain, degree, *a, **k: degrees.append(degree) or init(chain, degree, *a, **k)
+    )
+    monkeypatch.setattr(Geometry, "maximal_flags", lambda g: spied.append("maximal_flags"))
+    monkeypatch.setattr(geom, "_closure", lambda *a: spied.append("_closure"))
+    meta = m22.build_m22_geometry.__wrapped__(6)
+    assert degrees.count(2047) == 1 and degrees.count(len(meta.geometry.elements)) == 1
+    assert spied == []

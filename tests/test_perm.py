@@ -36,6 +36,7 @@ from oracles import (
     naive_group_elements,
     naive_minimal_normal_orders,
     normal_closure_by_rebuild,
+    sample_by_level_inverses,
     setwise_stabilizer_by_rebuild,
 )
 
@@ -340,6 +341,14 @@ class TestSubgroupSearch:
 _gamma_l3_4 = lru_cache(maxsize=None)(gamma_l3_4)
 
 
+def _named_generators(name):
+    if name == "gamma":
+        return list(_gamma_l3_4()[0].generators)
+    if name == "sp6":
+        return symplectic_generators(3)
+    return list(PermutationGroup.symmetric(8).generators)
+
+
 _SEARCH_AMBIENTS = [
     lambda: (PermutationGroup.symmetric(5), None),
     lambda: (PermutationGroup.symmetric(6), None),
@@ -543,6 +552,25 @@ def _generating_sets(max_degree=7):
 
 
 class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            _generating_sets(max_degree=9).map(lambda gens: [Permutation(g) for g in gens]),
+            st.sampled_from(["gamma", "sp6", "s8"]).map(_named_generators),
+        ),
+        st.lists(st.integers(0, 12), max_size=3),
+        st.integers(0, 2**32),
+    )
+    def test_sample_equals_per_level_inverses(self, gens, prefix, seed):
+        # the same points are drawn in the same order, so both rngs end in
+        # the same state and every seeded search sees the same elements
+        prefix = [p for p in dict.fromkeys(prefix) if p < gens[0].degree]
+        chain = StabilizerChain(gens[0].degree, gens, base_prefix=prefix)
+        ours, theirs = Random(seed), Random(seed)
+        for _ in range(4):
+            assert chain.sample(ours) == sample_by_level_inverses(chain, theirs)
+        assert ours.getstate() == theirs.getstate()
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 40).flatmap(
         lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
@@ -695,6 +723,29 @@ class TestChainGrowth:
             if k <= len(prefix):
                 fixed = prefix[:k]
                 assert stab.order() == sum(all(x[p] == p for p in fixed) for x in elements)
+
+    def test_basic_orbits_follow_the_prefix(self):
+        group = PermutationGroup.alternating(6)
+        chain = group.base_chain([2, 4])
+        assert chain.basic_orbit(0) == group.point_orbit(2)
+        assert chain.basic_orbit(1) == sorted({0, 1, 3, 4, 5})
+        # past the last level the group is trivial: the orbit is the point
+        trivial = PermutationGroup.trivial(5).base_chain([3, 1])
+        assert trivial.basic_orbit(0) == [3] and trivial.basic_orbit(1) == [1]
+
+    def test_first_chain_certifies_the_order(self, monkeypatch):
+        # a prefix chain gives the order, so order() builds no second chain
+        group = PermutationGroup.symmetric(6)
+        group.base_chain([3])
+        built = []
+        init = StabilizerChain.__init__
+        monkeypatch.setattr(StabilizerChain, "__init__", lambda chain, *a, **k: built.append(1) or init(chain, *a, **k))
+        assert group.order() == 720 and built == []
+        # and bounds the next one, which then runs no verification pass
+        verify = StabilizerChain._verify
+        monkeypatch.setattr(StabilizerChain, "_verify", lambda chain: built.append(2) or verify(chain))
+        group.base_chain([1, 0])
+        assert built == [1]
 
     def test_representative_sends_first_base_point(self):
         group = PermutationGroup.alternating(6)
